@@ -30,7 +30,7 @@ fn print_tables() {
     .filter(PiParams::lemma6_applicable)
     .collect();
     // The grid is submitted to the session's persistent workers; rows
-    // print in grid order, and every point shares the session cache.
+    // print in grid order, and every point runs on the one session.
     let session = engine.clone();
     for row in engine.map_owned(grid, move |params| {
         let mach = Lemma8Machinery::compute(params, &session).expect("compute");

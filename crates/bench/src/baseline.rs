@@ -2,27 +2,27 @@
 //! parallel round-elimination engine's wall-clock behaviour, emitted by
 //! the `bench-driver` binary alongside the human tables.
 //!
-//! Schema (`bench-relim/4`): a header with the thread configuration plus
+//! Schema (`bench-relim/5`): a header with the thread configuration plus
 //! one entry per kernel, each carrying its parameter assignments, one
-//! timed run per configuration (usually thread counts; the
-//! `engine_session_reuse` kernel compares per-call vs shared engine
-//! caches instead), the speedup of the last run over the first, whether
-//! the compared outputs were byte-identical (always asserted before the
-//! file is written), and an `engine_report` object: the
-//! **deterministic** counters of an
-//! [`EngineReport`](relim_core::EngineReport) probe run
-//! (cache hits/misses, per-operator counts; never `wall_ns`), plus —
-//! new in `bench-relim/4` — the probe's exact `alloc_count` /
+//! timed run per configuration (usually thread counts), the speedup of
+//! the last run over the first, whether the compared outputs were
+//! byte-identical (always asserted before the file is written), and an
+//! `engine_report` object: the **deterministic** counters of an
+//! [`EngineReport`](relim_core::EngineReport) probe run (per-operator
+//! counts; never `wall_ns`) plus the probe's exact `alloc_count` /
 //! `alloc_bytes` heap-allocation deltas measured by the driver's
 //! counting allocator. Unlike the timing fields these are diffed
-//! *exactly* by `bench-driver --diff`, so CI catches cache-hit-trend
+//! *exactly* by `bench-driver --diff`, so CI catches operator-count
 //! **and allocation** regressions, not just schema drift (allocation
-//! counts, like cache counters, are deterministic for a fixed workload —
-//! `wall_ns` is not).
+//! counts, like operator counts, are deterministic for a fixed workload
+//! — `wall_ns` is not).
 //! History: `bench-relim/2` added the `engine_session_reuse` kernel;
 //! `bench-relim/3` added `engine_report` plus the `store_roundtrip` and
 //! `service_cold_vs_warm` serving-layer kernels; `bench-relim/4` added
-//! the allocation counters backing the `--alloc-gate` regression gate.
+//! the allocation counters backing the `--alloc-gate` regression gate;
+//! `bench-relim/5` removed the sub-multiset index cache counters from
+//! `engine_report` and the `engine_session_reuse` /
+//! `iterate_rr_mis_d3_memo_off` kernels with the cache itself.
 
 use crate::json::Json;
 
@@ -110,7 +110,7 @@ impl Baseline {
     /// The file as a JSON value.
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
-            ("schema".into(), Json::str("bench-relim/4")),
+            ("schema".into(), Json::str("bench-relim/5")),
             ("generated_by".into(), Json::str("bench-driver")),
             ("quick".into(), Json::Bool(self.quick)),
             ("threads".into(), Json::Int(self.threads as i64)),
@@ -165,7 +165,7 @@ impl Baseline {
 /// only requires them to be *present with the right kind* (number or
 /// null), never value-equal. `alloc_count`/`alloc_bytes` are deliberately
 /// **not** here: allocation counts are deterministic for a fixed
-/// workload, so they diff exactly like the cache counters.
+/// workload, so they diff exactly like the operator counters.
 const TIMING_KEYS: [&str; 6] =
     ["wall_ns", "min_ns", "max_ns", "speedup", "speedup_vs_reference", "available_parallelism"];
 
@@ -181,8 +181,8 @@ pub const ALLOC_GATE_KERNELS: [&str; 2] = ["rbar_step_pi_d5_a4_x1", "iterate_rr_
 pub fn schema_problems(doc: &Json) -> Vec<String> {
     let mut out = Vec::new();
     match doc.get("schema").and_then(Json::as_str) {
-        Some("bench-relim/4") => {}
-        Some(other) => out.push(format!("schema: expected `bench-relim/4`, got `{other}`")),
+        Some("bench-relim/5") => {}
+        Some(other) => out.push(format!("schema: expected `bench-relim/5`, got `{other}`")),
         None => out.push("schema: missing or not a string".into()),
     }
     for key in ["generated_by", "quick", "threads", "available_parallelism", "entries"] {
@@ -205,7 +205,7 @@ pub fn schema_problems(doc: &Json) -> Vec<String> {
             }
         }
         // The engine_report counters must be integers when present — they
-        // are the exactly-diffed cache-hit trend record.
+        // are the exactly-diffed work-count record.
         if let Some(Json::Obj(fields)) = entry.get("engine_report") {
             for (key, value) in fields {
                 if !matches!(value, Json::Int(_)) {
@@ -367,7 +367,7 @@ mod tests {
                 speedup: Some(2.0),
                 byte_identical: Some(true),
                 report: Some(vec![
-                    ("cache_hits".into(), 3),
+                    ("r_steps".into(), 3),
                     ("rbar_steps".into(), 6),
                     ("alloc_count".into(), 120),
                     ("alloc_bytes".into(), 4096),
@@ -379,11 +379,11 @@ mod tests {
     #[test]
     fn json_shape() {
         let text = sample().to_json().render();
-        assert!(text.contains("\"schema\": \"bench-relim/4\""));
+        assert!(text.contains("\"schema\": \"bench-relim/5\""));
         assert!(text.contains("\"id\": \"lemma8_sweep_d4\""));
         assert!(text.contains("\"speedup\": 2"));
         assert!(text.contains("\"byte_identical\": true"));
-        assert!(text.contains("\"cache_hits\": 3"));
+        assert!(text.contains("\"r_steps\": 3"));
     }
 
     #[test]
@@ -416,17 +416,16 @@ mod tests {
         let problems = schema_problems(&doc);
         assert!(problems.iter().any(|p| p.contains("byte_identical is false")), "{problems:?}");
 
-        let doc = Json::parse("{\"schema\": \"bench-relim/3\"}").unwrap();
+        let doc = Json::parse("{\"schema\": \"bench-relim/4\"}").unwrap();
         let problems = schema_problems(&doc);
-        assert!(problems.iter().any(|p| p.contains("bench-relim/4")), "{problems:?}");
+        assert!(problems.iter().any(|p| p.contains("bench-relim/5")), "{problems:?}");
         assert!(problems.iter().any(|p| p.contains("entries")), "{problems:?}");
     }
 
     #[test]
     fn schema_check_requires_alloc_fields_to_travel_as_a_pair() {
         let mut lonely = sample();
-        lonely.entries[0].report =
-            Some(vec![("cache_hits".into(), 3), ("alloc_count".into(), 120)]);
+        lonely.entries[0].report = Some(vec![("r_steps".into(), 3), ("alloc_count".into(), 120)]);
         let doc = Json::parse(&lonely.to_json().render()).unwrap();
         let problems = schema_problems(&doc);
         assert!(problems.iter().any(|p| p.contains("alloc_bytes together")), "{problems:?}");
@@ -436,7 +435,7 @@ mod tests {
     fn schema_check_requires_budgets_on_alloc_gate_kernels() {
         let mut base = sample();
         base.entries[0].id = ALLOC_GATE_KERNELS[0].into();
-        base.entries[0].report = Some(vec![("cache_hits".into(), 3)]);
+        base.entries[0].report = Some(vec![("r_steps".into(), 3)]);
         let doc = Json::parse(&base.to_json().render()).unwrap();
         let problems = schema_problems(&doc);
         assert!(
@@ -455,7 +454,7 @@ mod tests {
         let committed = Json::parse(&sample().to_json().render()).unwrap();
         let mut drifted = sample();
         drifted.entries[0].report = Some(vec![
-            ("cache_hits".into(), 3),
+            ("r_steps".into(), 3),
             ("rbar_steps".into(), 6),
             ("alloc_count".into(), 121),
             ("alloc_bytes".into(), 4096),
@@ -482,7 +481,7 @@ mod tests {
         let committed = Json::parse(&sample().to_json().render()).unwrap();
         let mut drifted = sample();
         drifted.entries[0].report = Some(vec![
-            ("cache_hits".into(), 2),
+            ("r_steps".into(), 2),
             ("rbar_steps".into(), 6),
             ("alloc_count".into(), 120),
             ("alloc_bytes".into(), 4096),
@@ -490,8 +489,8 @@ mod tests {
         let drifted = Json::parse(&drifted.to_json().render()).unwrap();
         let problems = diff_problems(&committed, &drifted);
         assert!(
-            problems.iter().any(|p| p.contains("engine_report.cache_hits")),
-            "a cache-hit regression must fail the diff: {problems:?}"
+            problems.iter().any(|p| p.contains("engine_report.r_steps")),
+            "an operator-count regression must fail the diff: {problems:?}"
         );
     }
 

@@ -7,8 +7,8 @@
 //! are independent grid points sharded with [`Engine::map_owned`]; results
 //! come back in grid order, so tables are byte-identical at any thread
 //! count), cloning the session into the task closures when the rows
-//! themselves run engine steps — one pool handle and one sub-multiset
-//! index cache per driver process. The machine-readable counterpart of
+//! themselves run engine steps — one pool handle per driver process.
+//! The machine-readable counterpart of
 //! the wall-clock tables is the [`baseline`] module.
 
 #![forbid(unsafe_code)]

@@ -4,22 +4,19 @@
 //! Runs the engine's hot kernels through a sequential session and through
 //! a session at the requested pool width, asserts the parallel outputs
 //! are **byte-identical** to the sequential ones, prints a wall-clock
-//! table, and writes `BENCH_relim.json` (schema `bench-relim/3`, see
-//! `bench::baseline`). The `engine_session_reuse` kernel additionally
-//! compares a shared session cache against per-call fresh caches on the
-//! `autolb` workload; `store_roundtrip` and `service_cold_vs_warm` cover
+//! table, and writes `BENCH_relim.json` (schema `bench-relim/5`, see
+//! `bench::baseline`). `store_roundtrip` and `service_cold_vs_warm` cover
 //! the `relim-service` serving layer (content-addressed store
 //! persistence, cold-vs-warm daemon latency). Engine-touching kernels
-//! also record an `engine_report` probe (deterministic cache/operator
-//! counters on a fresh sequential session) that the `--diff` gate
-//! compares **exactly**, so cache-hit-trend regressions fail CI.
+//! also record an `engine_report` probe (deterministic operator counters
+//! on a fresh sequential session) that the `--diff` gate compares
+//! **exactly**, so work-count regressions fail CI.
 //!
 //! With the `count-alloc` feature (default) the driver installs a
 //! counting global allocator (see [`alloc_count`]) and records exact
 //! `alloc_count` / `alloc_bytes` deltas for each engine probe into the
 //! `engine_report` section — deterministic where `wall_ns` is not, and
-//! therefore diffed **exactly** like the other counters (schema
-//! `bench-relim/4`).
+//! therefore diffed **exactly** like the other counters.
 //!
 //! ```text
 //! bench-driver [--quick] [--threads N] [--out PATH]
@@ -50,7 +47,6 @@ use lb_family::family::{self, PiParams};
 use lb_family::{lemma8, zeroround_mc};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use relim_core::autolb::AutoLbOptions;
 use relim_core::roundelim::{dominance_filter_reference, r_step};
 use relim_core::{Label, LabelSet, SetConfig};
 use relim_service::ops::OpRequest;
@@ -134,9 +130,7 @@ fn run_diff(committed: &std::path::Path, fresh: &std::path::Path) -> Result<(), 
 
 /// Times `f` through a sequential session and a `threads`-wide session,
 /// asserting the rendered outputs match, and builds the baseline entry.
-/// Each invocation receives a session of the right width; kernels that
-/// must *not* reuse a cache across samples build a fresh child session
-/// inside the closure (see the iterate kernels).
+/// Each invocation receives a session of the right width.
 fn compare<R>(
     id: &str,
     params: Vec<(String, Json)>,
@@ -162,12 +156,6 @@ fn compare<R>(
         byte_identical: Some(identical),
         report: None,
     }
-}
-
-/// A fresh child session of the same width as `engine` — used by kernels
-/// whose measurement must not leak state (cache contents) across samples.
-fn fresh(engine: &Engine, memoize: bool) -> Engine {
-    Engine::builder().threads(engine.threads()).memoize(memoize).build()
 }
 
 /// One deterministic probe run of a kernel on `engine` (fresh, so the
@@ -271,75 +259,6 @@ fn run_alloc_gate(committed: &std::path::Path) -> Result<(), String> {
         Ok(())
     } else {
         Err(format!("allocation regression:\n  {}", failures.join("\n  ")))
-    }
-}
-
-/// The `engine_session_reuse` kernel: `repeats` identical `autolb` merge
-/// searches on MIS (Δ=3), once with a **fresh session per call** (run 1:
-/// every call rebuilds its sub-multiset indices) and once through **one
-/// shared session** (run 2: calls after the first are served from the
-/// session's `SubIndexCache`). Outcomes must be byte-identical; the
-/// cache-hit count of the shared session is recorded in params.
-fn engine_session_reuse_entry(repeats: usize) -> Entry {
-    let mis = family::mis(3).expect("valid");
-    let opts = AutoLbOptions { max_steps: 3, label_budget: 6, ..Default::default() };
-    let render = |o: &relim_core::autolb::AutoLbOutcome| {
-        let chain: Vec<String> = o.chain().map(|p| p.render()).collect();
-        format!("{:?} {} {}", o.stopped, o.certified_rounds, chain.join("|"))
-    };
-
-    let (per_call_out, per_call_med, per_call_min, per_call_max) = time_median(3, || {
-        let mut last = String::new();
-        for _ in 0..repeats {
-            let engine = Engine::sequential();
-            last = render(&engine.auto_lower_bound(&mis, &opts));
-        }
-        last
-    });
-
-    let shared = Engine::sequential();
-    let shared2 = shared.clone();
-    let (shared_out, shared_med, shared_min, shared_max) = time_median(3, move || {
-        let mut last = String::new();
-        for _ in 0..repeats {
-            last = render(&shared2.auto_lower_bound(&mis, &opts));
-        }
-        last
-    });
-    let identical = per_call_out == shared_out;
-    assert!(identical, "engine_session_reuse: shared-cache outcome differs from per-call");
-    let report = shared.report();
-    assert!(report.cache_hits > 0, "shared session must score cache hits across repeats");
-    let report_pairs: Vec<(String, i64)> =
-        report.snapshot_pairs().into_iter().map(|(k, v)| (k.to_owned(), v as i64)).collect();
-
-    Entry {
-        id: "engine_session_reuse".into(),
-        params: vec![
-            ("repeats".into(), Json::Int(repeats as i64)),
-            ("mode_run0".into(), Json::str("per_call_cache")),
-            ("mode_run1".into(), Json::str("shared_cache")),
-            ("shared_cache_hits".into(), Json::Int(report.cache_hits as i64)),
-        ],
-        runs: vec![
-            Run {
-                threads: 1,
-                wall_ns: per_call_med,
-                min_ns: per_call_min,
-                max_ns: per_call_max,
-                samples: 3,
-            },
-            Run {
-                threads: 1,
-                wall_ns: shared_med,
-                min_ns: shared_min,
-                max_ns: shared_max,
-                samples: 3,
-            },
-        ],
-        speedup: Some(per_call_med as f64 / shared_med.max(1) as f64),
-        byte_identical: Some(identical),
-        report: Some(report_pairs),
     }
 }
 
@@ -771,9 +690,7 @@ fn main() {
     let mut entries = Vec::new();
 
     // 1. The headline kernel: the Lemma 8 verification sweep (tier-2 at
-    // Δ=5) — the acceptance workload for the parallel engine. A fresh
-    // child session per sample keeps the per-point index builds inside
-    // the measurement (cross-call reuse is `engine_session_reuse`'s job).
+    // Δ=5) — the acceptance workload for the parallel engine.
     let sweep_delta = if opts.quick { 4 } else { 5 };
     let sweep_samples = if opts.quick { 3 } else { 1 };
     let mut sweep_entry = compare(
@@ -784,7 +701,7 @@ fn main() {
         ],
         threads,
         sweep_samples,
-        |engine| lemma8::verify_sweep(sweep_delta, &fresh(engine, true)).expect("sweep"),
+        |engine| lemma8::verify_sweep(sweep_delta, engine).expect("sweep"),
         |reports| format!("{reports:?}"),
     );
     sweep_entry.report = probe_report(Engine::sequential(), |e| {
@@ -793,9 +710,8 @@ fn main() {
     entries.push(sweep_entry);
 
     // 2. One R̄ application on the family at the largest unit-suite point:
-    // the raw universal-side enumeration plus dominance filter. A fresh
-    // child session per sample keeps the index build inside the
-    // measurement (the session cache would otherwise absorb it).
+    // the sub-multiset index build, the raw universal-side enumeration
+    // and the dominance filter.
     let pi = family::pi(&PiParams { delta: 5, a: 4, x: 1 }).expect("valid");
     let r = r_step(&pi).expect("r step");
     let mut rbar_entry = compare(
@@ -803,7 +719,7 @@ fn main() {
         vec![("labels".into(), Json::Int(r.problem.alphabet().len() as i64))],
         threads,
         if opts.quick { 3 } else { 5 },
-        |engine| fresh(engine, true).rbar_step(&r.problem).expect("rbar"),
+        |engine| engine.rbar_step(&r.problem).expect("rbar"),
         |step| format!("{}\n{:?}", step.problem.render(), step.provenance),
     );
     rbar_entry.report = probe_report(Engine::sequential(), |e| {
@@ -811,61 +727,20 @@ fn main() {
     });
     entries.push(rbar_entry);
 
-    // 3. Iterated round elimination on MIS until the label limit — the
-    // memoized default, plus the memoization-off reference so the
-    // before/after of the sub-index cache is recorded side by side. Each
-    // sample gets a fresh child session: the kernel measures *within-run*
-    // memoization, not cross-sample reuse (that is `engine_session_reuse`).
+    // 3. Iterated round elimination on MIS until the label limit.
     let mis = family::mis(3).expect("valid");
     let mut iterate_entry = compare(
         "iterate_rr_mis_d3",
-        vec![
-            ("max_steps".into(), Json::Int(10)),
-            ("label_limit".into(), Json::Int(20)),
-            ("memoized".into(), Json::Bool(true)),
-        ],
+        vec![("max_steps".into(), Json::Int(10)), ("label_limit".into(), Json::Int(20))],
         threads,
         if opts.quick { 3 } else { 5 },
-        |engine| fresh(engine, true).iterate_with_limits(&mis, 10, 20),
+        |engine| engine.iterate_with_limits(&mis, 10, 20),
         |outcome| format!("{:?}\n{:?}", outcome.stats, outcome.stopped),
     );
     iterate_entry.report = probe_report(Engine::sequential(), |e| {
         let _ = e.iterate_with_limits(&mis, 10, 20);
     });
     entries.push(iterate_entry);
-    let mut iterate_off_entry = compare(
-        "iterate_rr_mis_d3_memo_off",
-        vec![
-            ("max_steps".into(), Json::Int(10)),
-            ("label_limit".into(), Json::Int(20)),
-            ("memoized".into(), Json::Bool(false)),
-        ],
-        threads,
-        if opts.quick { 3 } else { 5 },
-        |engine| fresh(engine, false).iterate_with_limits(&mis, 10, 20),
-        |outcome| format!("{:?}\n{:?}", outcome.stats, outcome.stopped),
-    );
-    iterate_off_entry.report =
-        probe_report(Engine::builder().threads(1).memoize(false).build(), |e| {
-            let _ = e.iterate_with_limits(&mis, 10, 20);
-        });
-    entries.push(iterate_off_entry);
-    // The two paths must also agree with *each other*, not just across
-    // thread counts.
-    {
-        let engine = Engine::builder().threads(threads).build();
-        let memo = engine.iterate_with_limits(&mis, 10, 20);
-        let plain = Engine::builder()
-            .threads(threads)
-            .memoize(false)
-            .build()
-            .iterate_with_limits(&mis, 10, 20);
-        assert_eq!(
-            format!("{:?}\n{:?}", memo.stats, memo.stopped),
-            format!("{:?}\n{:?}", plain.stats, plain.stopped),
-            "memoized iterate must match the memoization-off reference"
-        );
-    }
 
     // 3a. Lineage-recording overhead on the same iterate workload:
     // byte-identical outcomes, DAG size and recording-path allocations
@@ -892,12 +767,6 @@ fn main() {
         let _ = e.map_owned(micro_items.clone(), |&x: &u64| x.wrapping_add(1));
     });
     entries.push(micro_entry);
-
-    // 3c. Session reuse: the same autolb merge search driven repeatedly
-    // through ONE long-lived session (shared SubIndexCache — run 2) vs a
-    // fresh session per call (cold cache every time — run 1). Outcomes
-    // must be byte-identical; the cache-hit delta is recorded in params.
-    entries.push(engine_session_reuse_entry(if opts.quick { 6 } else { 12 }));
 
     // 4. The chunk-sharded Monte-Carlo gadget simulation.
     let mc_trials: u64 = if opts.quick { 65_536 } else { 1 << 20 };

@@ -309,7 +309,7 @@ impl Lemma8Machinery {
 /// distributed across the workers (uneven point costs are balanced by
 /// work stealing), each point's `R̄` computation itself uses the session
 /// pool when it is the first to reach it, and every point's engine calls
-/// share the session's sub-multiset index cache. Reports come back in
+/// count into the one session report. Reports come back in
 /// sweep order — byte-identical at any thread count. Exponential in Δ —
 /// keep `Δ ≤ 5`.
 ///

@@ -37,7 +37,7 @@
 //! (default: available parallelism, or the `RELIM_THREADS` environment
 //! variable) and flows through every subcommand, so sweeps, repeated
 //! steps and bound searches within one invocation share the session's
-//! worker pool and sub-multiset index cache. Setting both `--threads` and
+//! worker pool. Setting both `--threads` and
 //! `RELIM_THREADS` to different values is an error, not a silent
 //! preference. Output is byte-identical at any thread count.
 
@@ -103,7 +103,7 @@ fn run(raw: Vec<String>) -> Result<String, Box<dyn std::error::Error>> {
         _ => {}
     }
     // One session per invocation: every subcommand below shares its pool
-    // handle and sub-multiset index cache.
+    // handle.
     let engine = engine_from(&args)?;
     match command {
         "step" => cmd_step(&args, &engine),

@@ -24,8 +24,7 @@
 //! re-checks non-triviality of every chain element.
 //!
 //! The search is driven through a [`crate::engine::Engine`] session, which
-//! shares one sub-multiset index cache across every step of the merge
-//! search:
+//! runs every step of the merge search on its worker pool:
 //!
 //! ```
 //! use relim_core::engine::Engine;

@@ -5,30 +5,14 @@
 //! exponential growth" observation (paper §1.2, experiment E13) and
 //! fixed-point lower bounds (§1.2, "Fixed points").
 //!
-//! ## Cross-step memoization
-//!
-//! Each `R̄` application starts by building the **sub-multiset index** of
-//! the node constraint it universally quantifies over — a pure function of
-//! that constraint. Fixed-point searches recompute steps on recurring
-//! problems (the confirming step at a fixed point, repeated probes of the
-//! same problem), so the session API ([`crate::engine::Engine::iterate`])
-//! serves the index from a [`SubIndexCache`]: an exact-match cache from
-//! node constraints to `Arc`-shared indices, owned by the `Engine` and
-//! shared across *all* of its calls. Cache hits skip the enumeration work
-//! of rebuilding the index and are **byte-identical** to cache misses
-//! (the index content is fully determined by the constraint) — pinned by
-//! [`iterate_rr_unmemoized`], the memoization-off reference path the
-//! differential suite compares against.
+//! The session API ([`crate::engine::Engine::iterate`]) drives the loop
+//! through the `Engine`'s pooled steps; [`iterate_rr_unmemoized`] is the
+//! session-free reference the differential suites compare it against.
 
-use crate::constraint::{Constraint, SubMultisetIndex};
 use crate::iso;
 use crate::problem::Problem;
 use crate::roundelim::{r_step, rbar_step_pooled, Step};
 use relim_pool::Pool;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 /// Why an iteration stopped.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,162 +75,10 @@ fn stats_of(step: usize, p: &Problem) -> StepStats {
     }
 }
 
-/// A concurrent exact-match cache from node constraints to their
-/// `Arc`-shared sub-multiset indices, letting consecutive (or repeated)
-/// iteration steps — possibly on different threads sharing one
-/// [`crate::engine::Engine`] session — reuse the index enumeration work.
-///
-/// The index is a pure function of the constraint, so a hit is
-/// byte-identical to a rebuild; sharing the cache between threads can
-/// therefore never change output bytes, only counters and wall clock.
-///
-/// ## Sharding
-///
-/// The map is split into `shards` independently-locked shards; a
-/// constraint's shard is chosen by its hash, so concurrent lookups of
-/// *different* constraints contend only when they collide on a shard.
-/// Each shard is bounded by a per-shard capacity (the total `capacity`
-/// divided evenly, at least 1): when a shard is full, the next insertion
-/// into it clears that shard (an epoch reset — simple, deterministic,
-/// and sufficient for fixed-point searches whose working set is tiny).
-/// With one shard this degenerates to exactly the historical
-/// whole-cache epoch reset.
-///
-/// Hit/miss counters are atomics. The lookup→build→insert window is a
-/// benign race: two threads missing the same constraint concurrently
-/// both build and insert the *same bytes*, so at most one duplicate
-/// build per racing thread is ever observable in the counters — never
-/// in results.
-#[derive(Debug)]
-pub struct SubIndexCache {
-    shards: Vec<Mutex<HashMap<Constraint, Arc<SubMultisetIndex>>>>,
-    shard_capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl SubIndexCache {
-    /// A single-shard cache holding up to 64 constraints.
-    pub fn new() -> SubIndexCache {
-        SubIndexCache::with_capacity(64)
-    }
-
-    /// A single-shard cache holding up to `capacity` constraints (at
-    /// least 1) — the historical epoch-reset behaviour, byte-for-byte.
-    pub fn with_capacity(capacity: usize) -> SubIndexCache {
-        SubIndexCache::sharded(1, capacity)
-    }
-
-    /// A cache of `shards` independently-locked shards (at least 1)
-    /// holding up to `capacity` constraints in total: each shard is
-    /// bounded by `capacity / shards` (rounded up, at least 1) and
-    /// epoch-resets independently.
-    pub fn sharded(shards: usize, capacity: usize) -> SubIndexCache {
-        let shards = shards.max(1);
-        let shard_capacity = capacity.max(1).div_ceil(shards);
-        SubIndexCache {
-            shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
-            shard_capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// Number of independently-locked shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard holding `constraint`, chosen by its hash.
-    fn shard_of(
-        &self,
-        constraint: &Constraint,
-    ) -> &Mutex<HashMap<Constraint, Arc<SubMultisetIndex>>> {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        constraint.hash(&mut hasher);
-        &self.shards[(hasher.finish() % self.shards.len() as u64) as usize]
-    }
-
-    /// The index for `constraint`, shared from the cache or built (and
-    /// cached) on a miss. The build happens outside the shard lock, so
-    /// concurrent misses of different constraints never serialize on
-    /// each other's enumeration work.
-    pub fn get_or_build(&self, constraint: &Constraint) -> Arc<SubMultisetIndex> {
-        if let Some(index) = self.lookup(constraint) {
-            return index;
-        }
-        let index = Arc::new(constraint.sub_multiset_index());
-        self.insert(constraint.clone(), Arc::clone(&index));
-        index
-    }
-
-    /// The cached index for `constraint`, if held; counts a hit or a miss.
-    /// Split out from [`SubIndexCache::get_or_build`] so a caller (the
-    /// [`crate::engine::Engine`]) can build outside the shard lock.
-    pub fn lookup(&self, constraint: &Constraint) -> Option<Arc<SubMultisetIndex>> {
-        let shard = self.shard_of(constraint).lock().expect("cache shard poisoned");
-        match shard.get(constraint) {
-            Some(index) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(index))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Stores a built index, clearing the target shard first when its
-    /// per-shard capacity is already reached (the epoch reset).
-    ///
-    /// Only the miss path of [`SubIndexCache::get_or_build`] reaches this
-    /// — a hit returns straight out of [`SubIndexCache::lookup`] without
-    /// ever owning a `Constraint` — so this is the one place that pays the
-    /// owned-key insert. The common under-capacity insert is a single hash
-    /// lookup; the `contains_key` probe runs only in the rare at-capacity
-    /// case, where a *replacement* (racing duplicate build of a resident
-    /// key) must not trigger the epoch reset since it cannot grow the
-    /// shard.
-    pub fn insert(&self, constraint: Constraint, index: Arc<SubMultisetIndex>) {
-        let mut shard = self.shard_of(&constraint).lock().expect("cache shard poisoned");
-        if shard.len() >= self.shard_capacity && !shard.contains_key(&constraint) {
-            shard.clear();
-        }
-        shard.insert(constraint, index);
-    }
-
-    /// Lookups answered from the cache.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that had to build the index.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Distinct constraints currently held, summed over all shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().expect("cache shard poisoned").len()).sum()
-    }
-
-    /// Whether the cache holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl Default for SubIndexCache {
-    fn default() -> Self {
-        SubIndexCache::new()
-    }
-}
-
-/// The memoization-off reference for [`crate::engine::Engine::iterate`]:
-/// every step rebuilds its sub-multiset index from scratch, with no
-/// session state anywhere. Exists so differential tests can pin that the
-/// memoized path changes nothing; not deprecated on purpose.
+/// The session-free reference for [`crate::engine::Engine::iterate`]: the
+/// same loop over plain pooled steps, with no `Engine` state anywhere.
+/// Exists so differential tests can pin that the session changes nothing;
+/// not deprecated on purpose.
 pub fn iterate_rr_unmemoized(
     p: &Problem,
     max_steps: usize,
@@ -261,7 +93,7 @@ pub fn iterate_rr_unmemoized(
 }
 
 /// The shared iteration loop, parameterized over how one step is computed
-/// (the engine passes its cache-serving session step).
+/// (the engine passes its counting, lineage-recording session step).
 pub(crate) fn iterate_with_step(
     p: &Problem,
     max_steps: usize,
@@ -356,122 +188,14 @@ mod tests {
     }
 
     #[test]
-    fn memoized_iteration_matches_unmemoized_reference() {
+    fn session_iteration_matches_unmemoized_reference() {
         for (node, edge) in
             [("O I I I", "[O I] I"), ("M M M\nP O O", "M [P O]\nO O"), ("A A", "A A")]
         {
             let p = Problem::from_text(node, edge).unwrap();
             let reference = render_outcome(&iterate_rr_unmemoized(&p, 6, 20, &Pool::sequential()));
-            let memoized = render_outcome(&Engine::sequential().iterate_with_limits(&p, 6, 20));
-            assert_eq!(memoized, reference, "problem: {node} / {edge}");
+            let session = render_outcome(&Engine::sequential().iterate_with_limits(&p, 6, 20));
+            assert_eq!(session, reference, "problem: {node} / {edge}");
         }
-    }
-
-    #[test]
-    fn cache_hits_share_the_index_and_change_nothing() {
-        let p = Problem::from_text("M M M\nP O O", "M [P O]\nO O").unwrap();
-        let cache = SubIndexCache::new();
-        let first = cache.get_or_build(p.node());
-        let second = cache.get_or_build(p.node());
-        assert!(Arc::ptr_eq(&first, &second), "a hit must share the built index");
-        assert_eq!((cache.hits(), cache.misses(), cache.len()), (1, 1, 1));
-        assert_eq!(first.len(), p.node().sub_multiset_index().len());
-    }
-
-    #[test]
-    fn cache_epoch_reset_respects_capacity() {
-        let cache = SubIndexCache::with_capacity(2);
-        let constraints = ["A A", "A B", "B B"].map(|e| {
-            let p = Problem::from_text("A A\nB B", e).unwrap();
-            p.edge().clone()
-        });
-        for c in &constraints {
-            cache.get_or_build(c);
-        }
-        // Third insert overflowed capacity 2: the map was cleared first.
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.misses(), 3);
-    }
-
-    #[test]
-    fn replacing_a_resident_key_at_capacity_does_not_epoch_reset() {
-        // A racing duplicate build re-inserts a key the full shard already
-        // holds; that replacement must not clear the shard (it cannot grow
-        // it), while a genuinely new key at capacity still resets.
-        let cache = SubIndexCache::with_capacity(2);
-        let constraints = ["A A", "A B", "B B"].map(|e| {
-            let p = Problem::from_text("A A\nB B", e).unwrap();
-            p.edge().clone()
-        });
-        let a = cache.get_or_build(&constraints[0]);
-        cache.get_or_build(&constraints[1]);
-        assert_eq!(cache.len(), 2);
-        cache.insert(constraints[0].clone(), Arc::clone(&a));
-        assert_eq!(cache.len(), 2, "replacement cleared the shard");
-        cache.insert(constraints[2].clone(), Arc::clone(&a));
-        assert_eq!(cache.len(), 1, "a new key at capacity must epoch-reset");
-    }
-
-    #[test]
-    fn hit_path_returns_without_owning_the_key() {
-        // `lookup` takes the constraint by reference and a hit comes back
-        // as a shared `Arc`; `get_or_build` must answer a second call from
-        // `lookup` alone (hits == 1) so only the first (miss) call pays
-        // the `constraint.clone()` insert.
-        let p = Problem::from_text("M M M\nP O O", "M [P O]\nO O").unwrap();
-        let cache = SubIndexCache::new();
-        let built = cache.get_or_build(p.node());
-        let hit = cache.lookup(p.node()).expect("must be resident");
-        assert!(Arc::ptr_eq(&built, &hit));
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-    }
-
-    #[test]
-    fn sharded_cache_shares_across_threads_without_output_drift() {
-        let p = Problem::from_text("M M M\nP O O", "M [P O]\nO O").unwrap();
-        let reference = p.node().sub_multiset_index();
-        for shards in [1usize, 4, 16] {
-            let cache = Arc::new(SubIndexCache::sharded(shards, 64));
-            assert_eq!(cache.shard_count(), shards);
-            let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    let cache = Arc::clone(&cache);
-                    let constraint = p.node().clone();
-                    std::thread::spawn(move || cache.get_or_build(&constraint).len())
-                })
-                .collect();
-            for h in handles {
-                assert_eq!(h.join().unwrap(), reference.len(), "shards = {shards}");
-            }
-            // Every thread either hit or missed; at most one entry exists
-            // (duplicate racing builds insert the same bytes).
-            assert_eq!(cache.hits() + cache.misses(), 4, "shards = {shards}");
-            assert_eq!(cache.len(), 1, "shards = {shards}");
-            assert!(cache.misses() >= 1, "someone had to build: shards = {shards}");
-        }
-    }
-
-    #[test]
-    fn fixed_point_confirmation_hits_the_cache() {
-        // Sinkless orientation: the confirming step recomputes the same
-        // problem, so its R(Π) node constraint repeats exactly and the
-        // cache-served path must score a hit while matching the
-        // reference. (Alphabet *names* grow each step — the
-        // provenance-set display — but the cache keys on the name-free
-        // `Constraint`, which repeats exactly at the fixed point.)
-        let so = Problem::from_text("O I I", "[O I] I").unwrap();
-        let pool = Pool::sequential();
-        let cache = SubIndexCache::new();
-        let mut current = so.drop_unused_labels().0;
-        for step in 0..2 {
-            let r = r_step(&current).unwrap();
-            let index = cache.get_or_build(r.problem.node());
-            let rr = crate::roundelim::rbar_step_indexed(&r.problem, &index, &pool).unwrap();
-            let (reduced, _) = rr.problem.drop_unused_labels();
-            assert!(iso::isomorphic(&reduced, &current), "step {step} left the fixed point");
-            current = reduced;
-        }
-        assert_eq!(cache.hits(), 1, "the confirming step must reuse the index");
-        assert_eq!(cache.misses(), 1);
     }
 }

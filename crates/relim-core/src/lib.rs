@@ -23,8 +23,7 @@
 //! ## What the engine provides
 //!
 //! * [`engine::Engine`] — **the entry point**: a builder-constructed
-//!   session that owns the worker-pool handle, a long-lived sub-multiset
-//!   index cache shared across all calls, and per-session statistics
+//!   session that owns the worker-pool handle and per-session statistics
 //!   ([`engine::EngineReport`]). Every operator below is reachable as an
 //!   `Engine` method; the historical pool-taking free-function wrappers
 //!   served their one-release deprecation window and are gone — only the

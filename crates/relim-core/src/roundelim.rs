@@ -33,13 +33,12 @@
 //! **byte-identical** to its sequential counterpart at any thread count
 //! (enforced by the differential proptests at the workspace root).
 //!
-//! The parallel (and cache-serving) surface of these operators is the
-//! session API, [`crate::engine::Engine`]: it owns the pool handle and a
-//! long-lived [`crate::iterate::SubIndexCache`] the `R̄` side's
-//! sub-multiset index is served from. The free functions here compute
-//! the operators sequentially — they are the references the differential
-//! suites compare sessions against (the old pool-taking `*_with`
-//! wrappers served their one-release deprecation window and are gone).
+//! The parallel surface of these operators is the session API,
+//! [`crate::engine::Engine`]: it owns the pool handle and counts the
+//! steps it serves. The free functions here compute the operators
+//! sequentially — they are the references the differential suites
+//! compare sessions against (the old pool-taking `*_with` wrappers
+//! served their one-release deprecation window and are gone).
 
 use crate::config::{Config, SetConfig, INLINE_DEGREE};
 use crate::constraint::{Constraint, SubMultisetIndex};
@@ -60,8 +59,8 @@ use std::sync::Arc;
 /// Largest alphabet the universal-side enumeration accepts — the
 /// right-closed-set enumeration limit of
 /// [`crate::rightclosed::right_closed_sets`]. Shared by every guard
-/// (including the memoized path in [`crate::iterate`]) so the limit can
-/// only ever change in one place.
+/// (including the engine's step path) so the limit can only ever change
+/// in one place.
 pub const MAX_LABELS: usize = 22;
 
 /// The result of one `R(·)` or `R̄(·)` application.
@@ -148,7 +147,7 @@ pub fn r_step(p: &Problem) -> Result<Step> {
 /// Applies `R̄(·)`: universal step on the node constraint, existential step on
 /// the edge constraint. Runs sequentially; use
 /// [`crate::engine::Engine::rbar_step`] to shard over a worker pool and
-/// serve the sub-multiset index from a session cache (byte-identical).
+/// count the step in the session report (byte-identical).
 ///
 /// # Errors
 ///
@@ -160,46 +159,28 @@ pub fn rbar_step(p: &Problem) -> Result<Step> {
 }
 
 /// The pooled `R̄(·)` implementation behind [`rbar_step`] and the engine:
-/// builds a fresh sub-multiset index of `p.node()`.
+/// builds the sub-multiset index of `p.node()`, then runs the universal
+/// enumeration against it and the dominance filter, both sharded over
+/// `pool`.
 pub(crate) fn rbar_step_pooled(p: &Problem, pool: &Pool) -> Result<Step> {
     let n = p.alphabet().len();
     if n > MAX_LABELS {
         return Err(RelimError::TooManyLabels { requested: n });
     }
     let sub_index = Arc::new(p.node().sub_multiset_index());
-    rbar_step_indexed(p, &sub_index, pool)
-}
-
-/// The shared `R̄(·)` body: universal enumeration against a prebuilt
-/// (possibly cache-served) sub-multiset index, then the dominance filter,
-/// both sharded over `pool`.
-pub(crate) fn rbar_step_indexed(
-    p: &Problem,
-    sub_index: &Arc<SubMultisetIndex>,
-    pool: &Pool,
-) -> Result<Step> {
-    let n = p.alphabet().len();
-    if n > MAX_LABELS {
-        return Err(RelimError::TooManyLabels { requested: n });
-    }
-    assert_eq!(
-        sub_index.degree(),
-        p.node().degree(),
-        "sub-multiset index was built for a different constraint"
-    );
     let order = StrengthOrder::of_constraint(p.node(), n);
     let cands = right_closed_sets(&order);
     let delta = p.delta();
 
-    let raw = forall_multisets_with(&cands, delta, sub_index, pool);
+    let raw = forall_multisets_with(&cands, delta, &sub_index, pool);
     let maximal = dominance_filter_pooled(raw, pool);
     finish_step(p, maximal, UniversalSide::Node)
 }
 
 /// One full round elimination step `Π ↦ R̄(R(Π))`, returning both
 /// intermediate results. Runs sequentially; use
-/// [`crate::engine::Engine::rr_step`] for the pooled, cache-served
-/// session path (byte-identical).
+/// [`crate::engine::Engine::rr_step`] for the pooled session path
+/// (byte-identical).
 ///
 /// # Errors
 ///

@@ -1,15 +1,19 @@
 //! A blocking client for the daemon's JSON-lines protocol.
 //!
-//! One TCP connection per call (the protocol allows pipelining on a kept
-//! connection, but the CLI and the bench kernels are one-shot callers —
-//! connection setup is nanoseconds next to a round-elimination job).
+//! One TCP connection per call. The protocol allows further requests on
+//! a kept-alive connection, but the CLI and the bench kernels are one-shot
+//! callers. Connection setup is not free: on a 2-vCPU Linux VM over
+//! loopback, a warm store hit costs about 15 µs inside the daemon but
+//! about 100 µs client-observed with a fresh connection per request. A
+//! cold round-elimination job takes milliseconds or more, next to which
+//! the connect is noise.
 
 use crate::ops::OpRequest;
 use crate::protocol::{self, PingInfo};
 use crate::queue::Class;
 use crate::trace::{TraceContext, TraceDump};
 use relim_json::Json;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -283,10 +287,7 @@ impl Client {
         stream.set_read_timeout(Some(self.timeout)).map_err(|e| ClientError(e.to_string()))?;
         stream.set_write_timeout(Some(self.timeout)).map_err(|e| ClientError(e.to_string()))?;
         let mut writer = stream.try_clone().map_err(|e| ClientError(e.to_string()))?;
-        writer
-            .write_all(line.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush())
+        protocol::write_frame(&mut writer, line)
             .map_err(|e| ClientError(format!("write to {} failed: {e}", self.addr)))?;
         let mut reader = BufReader::new(stream);
         let mut response = String::new();

@@ -55,7 +55,7 @@ use crate::ring::Ring;
 use crate::store::digest_of;
 use crate::trace::{FetchTrace, Span, TraceContext};
 use relim_json::Json;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -367,11 +367,7 @@ impl PeerClient {
         stream.set_read_timeout(Some(self.timeout)).map_err(PeerError::io)?;
         stream.set_write_timeout(Some(self.timeout)).map_err(PeerError::io)?;
         let mut writer = stream.try_clone().map_err(PeerError::io)?;
-        writer
-            .write_all(line.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush())
-            .map_err(PeerError::io)?;
+        protocol::write_frame(&mut writer, line).map_err(PeerError::io)?;
         let mut reader = BufReader::new(stream);
         let mut response = String::new();
         let n = reader.read_line(&mut response).map_err(PeerError::io)?;

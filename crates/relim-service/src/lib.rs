@@ -37,11 +37,9 @@
 //!   in both directions.
 //! * [`server`] — the daemon: a thread-per-connection TCP listener, a
 //!   configurable **executor pool** (default `min(4, cores)`) draining
-//!   the job queue into the shared `Engine` — whose sharded sub-multiset
-//!   index cache the executors memoize through together —
-//!   request/latency counters, and graceful shutdown (the queue drains
-//!   before the process exits). Served bytes are identical at any
-//!   executor count.
+//!   the job queue into the shared `Engine`, request/latency counters,
+//!   and graceful shutdown (the queue drains before the process exits).
+//!   Served bytes are identical at any executor count.
 //! * [`client`] — a blocking client for the protocol; the `relim
 //!   submit` / `relim status` / `relim shutdown` subcommands and the
 //!   bench kernels are thin wrappers over it.

@@ -119,7 +119,6 @@ fn is_gauge_path(path: &str) -> bool {
             | "queue_pending"
             | "queue_max_depth"
             | "queue_aging_limit"
-            | "engine_cache_entries"
             | "threads"
             | "executors"
             | "timeline_window"

@@ -17,10 +17,9 @@
 //!   functions, which is what makes a served result **byte-identical**
 //!   to the same query run in-process at any thread count.
 //!
-//! The key deliberately excludes the engine's thread count and
-//! memoization toggle: both are performance knobs with no effect on
-//! output bytes (the differential suites pin this), so they must not
-//! split the cache.
+//! The key deliberately excludes the engine's thread count: it is a
+//! performance knob with no effect on output bytes (the differential
+//! suites pin this), so it must not split the cache.
 
 use relim_core::digest::fnv1a128_hex;
 use relim_core::{autolb, autoub, zeroround, Engine, Problem};
@@ -320,8 +319,8 @@ impl OpRequest {
     /// The canonical key of this request — the full text the store
     /// hashes *and verifies on every hit* (so digest collisions degrade
     /// to misses, never to wrong answers). Includes a format-version tag
-    /// and the engine semantics version; excludes thread count and
-    /// memoization (no effect on output bytes).
+    /// and the engine semantics version; excludes the thread count (no
+    /// effect on output bytes).
     ///
     /// # Errors
     ///

@@ -46,6 +46,7 @@ use crate::ops::OpRequest;
 use crate::queue::Class;
 use crate::trace::TraceContext;
 use relim_json::Json;
+use std::io::Write;
 
 /// A parsed request line.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,6 +99,22 @@ pub enum RequestBody {
     },
     /// Graceful shutdown request.
     Shutdown,
+}
+
+/// Writes `line` and its `\n` terminator as **one** `write_all`, then
+/// flushes. Every sender frames through here: a message written as two
+/// segments on a kept-alive connection stalls the reply behind Nagle's
+/// algorithm and the peer's delayed ACK (~40 ms per request).
+///
+/// # Errors
+///
+/// Propagates the write or flush failure.
+pub fn write_frame(writer: &mut impl Write, line: &str) -> std::io::Result<()> {
+    let mut frame = Vec::with_capacity(line.len() + 1);
+    frame.extend_from_slice(line.as_bytes());
+    frame.push(b'\n');
+    writer.write_all(&frame)?;
+    writer.flush()
 }
 
 /// Parses one request line.

@@ -17,11 +17,9 @@
 //! * A pool of **executor threads** (`ServerConfig::executors`, default
 //!   `min(4, available parallelism)`) drains the [`JobQueue`]
 //!   (interactive before bulk, with aging — see [`crate::queue`]) into
-//!   the shared `Engine`. Executors share the engine's *sharded*
-//!   sub-multiset index cache, so concurrent jobs reuse each other's
-//!   memo state; served bytes are identical at any executor count
-//!   because every cache hit is byte-identical to a rebuild and every
-//!   result is canonical.
+//!   the shared `Engine`. Executors share nothing in the engine but its
+//!   atomic counters; served bytes are identical at any executor count
+//!   because every result is canonical.
 //! * **Graceful shutdown**: a `shutdown` request flips the flag, wakes
 //!   the executors and unblocks the accept loop. New jobs are refused
 //!   (checked under the queue lock, so no job is ever lost in the
@@ -61,7 +59,7 @@ use crate::timeline::{EventKind, EventLog, DEFAULT_EVENT_CAPACITY};
 use crate::trace::{FetchTrace, Span, SpanLog, TraceContext, TraceSnapshot, DEFAULT_SPAN_CAPACITY};
 use relim_core::Engine;
 use relim_json::Json;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -630,7 +628,13 @@ impl ServerHandle {
 }
 
 fn trigger_shutdown(shared: &Arc<Shared>, addr: SocketAddr) {
-    shared.shutdown.store(true, Ordering::SeqCst);
+    // Set under the queue lock: an executor checks the flag and parks on
+    // `cv` while holding it, so a store and notify outside the lock could
+    // land between its check and its wait and never wake it.
+    {
+        let _queue = shared.queue.lock().expect("queue lock poisoned");
+        shared.shutdown.store(true, Ordering::SeqCst);
+    }
     shared.cv.notify_all();
     // Unblock the accept loop: a throwaway connection makes `incoming`
     // yield once more, after which the loop observes the flag.
@@ -751,6 +755,8 @@ fn executor_loop(shared: &Arc<Shared>) {
         } else if shared.shutdown.load(Ordering::SeqCst) {
             return;
         } else {
+            #[cfg(test)]
+            test_hooks::fire(&format!("park@{}", shared.self_addr));
             queue = shared.cv.wait(queue).expect("queue lock poisoned");
         }
     }
@@ -824,9 +830,7 @@ fn serve_connection_inner(stream: TcpStream, shared: &Arc<Shared>, addr: SocketA
         }
         shared.requests_total.fetch_add(1, Ordering::Relaxed);
         let (response, shutdown_after_send) = handle_line(&line, shared);
-        let sent = writer.write_all(response.as_bytes()).is_ok()
-            && writer.write_all(b"\n").is_ok()
-            && writer.flush().is_ok();
+        let sent = protocol::write_frame(&mut writer, &response).is_ok();
         if shutdown_after_send {
             // The acknowledgement is on the wire (or the peer is gone)
             // before the teardown starts, so the requester always hears
@@ -1298,7 +1302,7 @@ mod tests {
             "relim_store_hits_zero_round",
             "relim_latency_zero_round_computed_count 1",
             "relim_queue_pending",
-            "relim_engine_cache_entries",
+            "relim_engine_rbar_steps",
             "relim_timeline_recorded",
             "relim_timeline_dropped 0",
             "relim_trace_window 0",
@@ -1425,5 +1429,51 @@ mod tests {
             Ok(reply) => panic!("job accepted after shutdown: {reply:?}"),
             Err(e) => assert!(!e.to_string().is_empty()),
         }
+    }
+
+    /// A shutdown that lands between an idle executor's flag check and
+    /// its wait on `cv` must still wake it. The hook holds the executor
+    /// in exactly that window (queue lock held) while another thread
+    /// triggers the shutdown; `join` then has to return.
+    #[test]
+    fn shutdown_racing_an_executor_about_to_park_still_wakes_it() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        let config = ServerConfig { executors: 1, ..ServerConfig::default() };
+        let handle = Server::spawn("127.0.0.1:0", config).unwrap();
+        let addr = handle.local_addr();
+        let shared = Arc::clone(&handle.shared);
+        let (fired_tx, fired_rx) = mpsc::channel();
+        test_hooks::install(
+            &format!("park@{addr}"),
+            Box::new(move || {
+                let (done_tx, done_rx) = mpsc::channel();
+                std::thread::spawn(move || {
+                    trigger_shutdown(&shared, addr);
+                    let _ = done_tx.send(());
+                });
+                // A shutdown that waits for the queue lock cannot finish
+                // while this hook holds it; stop waiting after a bound.
+                let _ = done_rx.recv_timeout(Duration::from_millis(500));
+                fired_tx.send(()).unwrap();
+            }),
+        );
+        // The executor may already be parked: one job sends it round its
+        // loop and into the hooked window on the way back to `cv`. The
+        // job may be refused if the hook fired first.
+        let _ = Client::new(addr.to_string())
+            .submit(&OpRequest::zero_round("A A", "A A").unwrap(), None);
+        fired_rx.recv().unwrap();
+
+        let (joined_tx, joined_rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            handle.join();
+            joined_tx.send(()).unwrap();
+        });
+        assert!(
+            joined_rx.recv_timeout(Duration::from_secs(10)).is_ok(),
+            "the executor missed the shutdown wake-up"
+        );
     }
 }

@@ -131,3 +131,37 @@ fn parameter_changes_never_serve_stale_results() {
     client.shutdown().unwrap();
     handle.join();
 }
+
+/// Requests pipelined on one kept-alive connection are answered at
+/// loopback speed. A reply written as two segments (body, then `\n`)
+/// stalls every request after the first behind Nagle's algorithm and
+/// the client's delayed ACK, about 40 ms each; the median of 200
+/// sequential pings must stay far below that.
+#[test]
+fn kept_alive_requests_do_not_stall_on_delayed_acks() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::time::{Duration, Instant};
+
+    let handle = Server::spawn("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let stream = std::net::TcpStream::connect(handle.local_addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let frame = format!("{}\n", relim_service::protocol::render_admin_request("ping", None));
+    let mut rtts = Vec::with_capacity(200);
+    for i in 0..200 {
+        let start = Instant::now();
+        writer.write_all(frame.as_bytes()).unwrap();
+        let mut response = String::new();
+        assert!(reader.read_line(&mut response).unwrap() > 0, "connection closed at ping {i}");
+        rtts.push(start.elapsed());
+        let doc = Json::parse(response.trim_end()).unwrap();
+        assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(true), "{response}");
+    }
+    drop((writer, reader));
+    rtts.sort_unstable();
+    let p50 = rtts[rtts.len() / 2];
+    assert!(p50 < Duration::from_millis(5), "kept-alive ping p50 {p50:?} (p90 {:?})", rtts[180]);
+    handle.shutdown();
+    handle.join();
+}

@@ -15,7 +15,7 @@ use mis_domset_lb::Engine;
 
 fn main() {
     // One session for the whole walkthrough: the searches below share its
-    // worker pool and sub-multiset index cache.
+    // worker pool.
     let engine = Engine::from_env();
 
     // ---------------------------------------------------------------

@@ -15,7 +15,7 @@ use mis_domset_lb::Engine;
 
 fn main() {
     // One engine session drives the whole pipeline: every sweep point and
-    // Lemma 8 computation below shares its worker pool and index cache.
+    // Lemma 8 computation below shares its worker pool.
     let engine = Engine::from_env();
 
     // ---------------------------------------------------------------

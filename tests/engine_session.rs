@@ -1,94 +1,100 @@
 //! Session-level behavior of `relim_core::engine::Engine`: one pool
-//! handle and one `SubIndexCache` owned by the session and shared across
-//! *all* of its calls — the property the stateless free-function surface
-//! could not provide. The assertions here are the acceptance criteria of
-//! the session API: `autolb` demonstrably reuses one cache across the
-//! merge search (hit counters observed through `EngineReport`), repeat
-//! searches rebuild nothing, and none of it changes a single output byte.
+//! handle and one set of counters owned by the session and shared by
+//! every clone of the handle. The assertions here are the acceptance
+//! criteria of the session API: repeated searches on one session, and
+//! clones of it running on other threads, reproduce a fresh session's
+//! output byte-for-byte, the builder knobs are observable and never
+//! change a byte, and `EngineReport` counts what actually ran.
 
 use mis_domset_lb::family::family;
 use mis_domset_lb::relim::autolb::AutoLbOptions;
 use mis_domset_lb::relim::autoub::AutoUbOptions;
+use mis_domset_lb::relim::iterate::IterationOutcome;
 use mis_domset_lb::relim::Problem;
 use mis_domset_lb::Engine;
+use std::sync::{Arc, Barrier};
 
 fn sinkless() -> Problem {
     Problem::from_text("O I I", "[O I] I").unwrap()
 }
 
-/// The ROADMAP item this API closed: the `autolb` merge search runs
-/// against the session's one `SubIndexCache`. An `iterate` probe warms
-/// the cache; the full lower-bound search that follows is then served
-/// entirely from it (hits observed, zero new builds), and a repeated
-/// search stays hit-only — with byte-identical outcomes throughout.
+/// The full observable surface of an iteration: stats, stop reason and
+/// every intermediate problem, rendered.
+fn render_iteration(o: &IterationOutcome) -> String {
+    let rendered: Vec<String> = o.problems.iter().map(Problem::render).collect();
+    format!("{:?}\n{:?}\n{}", o.stats, o.stopped, rendered.join("\n---\n"))
+}
+
+/// An `iterate` probe followed by two `autolb` merge searches on the same
+/// session: both searches match each other and a cold session's search
+/// byte-for-byte, and the report counts every run.
 #[test]
-fn autolb_merge_search_reuses_the_session_cache() {
+fn autolb_repeat_searches_on_one_session_are_byte_identical() {
     let engine = Engine::sequential();
     let so = sinkless();
     engine.iterate_with_limits(&so, 1, 20);
-    let warmed = engine.report();
-    assert!(warmed.cache_misses >= 1, "the probe must have built an index");
 
     let first = engine.auto_lower_bound(&so, &AutoLbOptions::default());
     assert!(first.unbounded());
-    let after_first = engine.report();
-    assert!(
-        after_first.cache_hits > warmed.cache_hits,
-        "the merge search must be served from the session cache: {after_first:?}"
-    );
-    assert_eq!(
-        after_first.cache_misses, warmed.cache_misses,
-        "the merge search must not rebuild any index: {after_first:?}"
-    );
-
     let second = engine.auto_lower_bound(&so, &AutoLbOptions::default());
-    let after_second = engine.report();
-    assert_eq!(after_second.cache_misses, after_first.cache_misses, "repeat run rebuilt an index");
-    assert!(after_second.cache_hits > after_first.cache_hits);
+    let report = engine.report();
+    assert_eq!((report.iterate_runs, report.autolb_runs), (1, 2), "{report:?}");
 
-    // Cache traffic never leaks into results.
     let render = |o: &mis_domset_lb::relim::autolb::AutoLbOutcome| {
         let chain: Vec<String> = o.chain().map(Problem::render).collect();
         format!("{:?} {} {}", o.stopped, o.certified_rounds, chain.join("|"))
     };
-    assert_eq!(render(&first), render(&second));
+    assert_eq!(render(&first), render(&second), "a repeat search changed the outcome");
     let cold = Engine::sequential().auto_lower_bound(&so, &AutoLbOptions::default());
     assert_eq!(render(&first), render(&cold), "session reuse changed the outcome");
 }
 
-/// Within one `autoub` chain on a fixed point the same `R(Π)` node
-/// constraint repeats byte-for-byte: steps after the first must hit.
+/// Sinkless orientation never becomes trivial, so one `autoub` chain
+/// runs to its step budget: exactly one `R̄(R(·))` per step.
 #[test]
-fn autoub_chain_is_served_from_cache_within_one_search() {
+fn autoub_chain_on_a_fixed_point_runs_to_its_step_budget() {
     let engine = Engine::sequential();
     let opts = AutoUbOptions { max_steps: 3, label_budget: 20, coloring: None };
     let outcome = engine.auto_upper_bound(&sinkless(), &opts);
     assert!(outcome.bound.is_none(), "sinkless orientation never becomes trivial");
     let report = engine.report();
-    assert_eq!((report.cache_hits, report.cache_misses), (2, 1), "{report:?}");
+    assert_eq!((report.autoub_runs, report.r_steps, report.rbar_steps), (1, 3, 3), "{report:?}");
 }
 
-/// The memoization toggle is observable (misses only) and harmless
-/// (outputs identical); the capacity knob bounds the held entries.
+/// Every builder knob is echoed or obeyed, and none changes a byte: a
+/// wide, lineage-recording session iterating on its builder defaults
+/// matches a plain sequential session given the same limits.
 #[test]
 fn builder_knobs_are_observable_and_output_neutral() {
     let mis = family::mis(3).unwrap();
-    let memo_on = Engine::builder().threads(1).cache_capacity(2).build();
-    let memo_off = Engine::builder().threads(1).memoize(false).build();
-    let a = memo_on.iterate_with_limits(&mis, 3, 20);
-    let b = memo_off.iterate_with_limits(&mis, 3, 20);
-    assert_eq!(format!("{:?}{:?}", a.stats, a.stopped), format!("{:?}{:?}", b.stats, b.stopped));
-    assert_eq!(memo_off.report().cache_hits, 0, "memoization off must never hit");
-    assert!(memo_off.report().cache_misses >= 1);
-    let on = memo_on.report();
-    assert!(on.cache_entries <= on.cache_capacity, "{on:?}");
-    assert_eq!(on.cache_capacity, 2);
-    assert!(!memo_off.report().memoize);
-    assert!(on.memoize);
+    let plain = Engine::builder().threads(1).build();
+    let tuned =
+        Engine::builder().threads(2).max_steps(3).label_limit(20).record_lineage(true).build();
+    let a = plain.iterate_with_limits(&mis, 3, 20);
+    let b = tuned.iterate(&mis);
+    assert_eq!(render_iteration(&a), render_iteration(&b));
+    let (plain, tuned) = (plain.report(), tuned.report());
+    assert_eq!((plain.threads, tuned.threads), (1, 2));
+    assert!(!plain.record_lineage && tuned.record_lineage);
+    assert!(tuned.lineage_nodes >= 1, "{tuned:?}");
+    assert_eq!(plain.rbar_steps, tuned.rbar_steps, "same limits, same steps");
 }
 
-/// One session handle fans out across a sweep: clones share the cache
-/// and the counters, and the sweep's outputs match a cold session's.
+/// A workload mixing a fixed point, doubly-exponential growth, a trivial
+/// problem and a second fixed point, as `(node, edge, max_steps,
+/// label_limit)`.
+const CLONE_WORKLOAD: &[(&str, &str, usize, usize)] = &[
+    ("O I I", "[O I] I", 4, 20),
+    ("M M M\nP O O", "M [P O]\nO O", 2, 20),
+    ("A A", "A A", 3, 20),
+    ("O I I I", "[O I] I", 4, 20),
+];
+
+/// One session handle fans out across a sweep and across threads: clones
+/// share the counters, the sweep's outputs match a cold session's, and M
+/// threads running clones of one session — each walking the workload from
+/// a different offset, started together — match a fresh sequential
+/// session byte-for-byte.
 #[test]
 fn sweep_clones_share_the_session() {
     use mis_domset_lb::family::lemma6;
@@ -97,6 +103,41 @@ fn sweep_clones_share_the_session() {
     let cold = lemma6::verify_sweep(4, &Engine::sequential()).unwrap();
     assert_eq!(format!("{sweep:?}"), format!("{cold:?}"));
     assert!(engine.report().map_batches >= 1, "the sweep must go through the session");
+
+    let references: Vec<String> = CLONE_WORKLOAD
+        .iter()
+        .map(|&(node, edge, steps, limit)| {
+            let p = Problem::from_text(node, edge).unwrap();
+            render_iteration(&Engine::sequential().iterate_with_limits(&p, steps, limit))
+        })
+        .collect();
+    let threads = 4;
+    let shared = Engine::sequential();
+    let barrier = Arc::new(Barrier::new(threads));
+    let handles: Vec<_> = (0..threads)
+        .map(|t| {
+            let engine = shared.clone();
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                barrier.wait();
+                (0..CLONE_WORKLOAD.len())
+                    .map(|i| {
+                        let idx = (i + t) % CLONE_WORKLOAD.len();
+                        let (node, edge, steps, limit) = CLONE_WORKLOAD[idx];
+                        let p = Problem::from_text(node, edge).unwrap();
+                        (idx, render_iteration(&engine.iterate_with_limits(&p, steps, limit)))
+                    })
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    for handle in handles {
+        for (idx, got) in handle.join().expect("clone thread panicked") {
+            assert_eq!(got, references[idx], "problem #{idx} drifted on a shared session");
+        }
+    }
+    let report = shared.report();
+    assert_eq!(report.iterate_runs, (threads * CLONE_WORKLOAD.len()) as u64, "{report:?}");
 }
 
 /// The report's operator counters track what actually ran.

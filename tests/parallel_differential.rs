@@ -1,11 +1,10 @@
 //! Differential property tests for the round-elimination `Engine`
-//! sessions: at thread counts 1, 2 and 8, with session memoization on and
-//! off, every `Engine` method must produce **byte-identical** output to
-//! the sequential reference — the determinism invariant the work-stealing
-//! pool promises (results are collected and canonically re-sorted, so the
-//! schedule can never leak into the output) composed with the cache
-//! invariant (a sub-multiset index served from the session cache is a
-//! pure function of the constraint). The references are the session-free
+//! sessions: at thread counts 1, 2 and 8, every `Engine` method must
+//! produce **byte-identical** output to the sequential reference — the
+//! determinism invariant the work-stealing pool promises (results are
+//! collected and canonically re-sorted, so the schedule can never leak
+//! into the output) — and a repeated call on the same session must
+//! reproduce the first byte-for-byte. The references are the session-free
 //! sequential paths (`rr_step`, `dominance_filter_reference`,
 //! `iterate_rr_unmemoized`) — the deprecated pool-taking wrappers this
 //! suite used to exercise served their one-release window and are gone.
@@ -26,15 +25,9 @@ use mis_domset_lb::Engine;
 use proptest::prelude::*;
 
 /// The engine configurations every differential below sweeps: thread
-/// counts 1/2/8, memoization on and off.
+/// counts 1/2/8.
 fn engine_grid() -> Vec<Engine> {
-    let mut engines = Vec::new();
-    for threads in [1usize, 2, 8] {
-        for memoize in [true, false] {
-            engines.push(Engine::builder().threads(threads).memoize(memoize).build());
-        }
-    }
-    engines
+    [1usize, 2, 8].into_iter().map(|threads| Engine::builder().threads(threads).build()).collect()
 }
 
 /// All multisets of `k` labels over `num_labels` labels.
@@ -129,8 +122,8 @@ fn set_configs() -> impl Strategy<Value = Vec<SetConfig>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `Engine::rr_step` — at threads 1/2/8, memo on/off, warm or cold
-    /// cache — is byte-identical to the sequential `rr_step`, including
+    /// `Engine::rr_step` — at threads 1/2/8, first or repeated call on a
+    /// session — is byte-identical to the sequential `rr_step`, including
     /// on degenerate problems where every path must fail with the same
     /// error.
     #[test]
@@ -138,12 +131,10 @@ proptest! {
         let sequential = render_rr(&rr_step(&p));
         for engine in engine_grid() {
             let got = render_rr(&engine.rr_step(&p));
-            prop_assert_eq!(&got, &sequential,
-                            "engine threads = {}, memo = {}", engine.threads(), engine.memoizing());
-            // Warm cache: a repeated step must not change a byte.
-            let warm = render_rr(&engine.rr_step(&p));
-            prop_assert_eq!(&warm, &sequential,
-                            "warm cache, threads = {}", engine.threads());
+            prop_assert_eq!(&got, &sequential, "engine threads = {}", engine.threads());
+            // A repeated step on the same session must not change a byte.
+            let again = render_rr(&engine.rr_step(&p));
+            prop_assert_eq!(&again, &sequential, "repeat call, threads = {}", engine.threads());
         }
     }
 
@@ -160,28 +151,26 @@ proptest! {
 
     /// End-to-end `Engine::iterate_with_limits` (a full fixed-point
     /// search, not a single step) is byte-identical across threads 1/2/8
-    /// and memoization on/off — and the session-free
-    /// `iterate_rr_unmemoized` reference agrees exactly with it at every
-    /// thread count.
+    /// — and the session-free `iterate_rr_unmemoized` reference agrees
+    /// exactly with it at every thread count.
     #[test]
     fn iterate_identical_across_engines(p in problems()) {
         let reference =
             render_outcome(&iterate_rr_unmemoized(&p, 4, 12, &Pool::sequential()));
         for engine in engine_grid() {
             let session = render_outcome(&engine.iterate_with_limits(&p, 4, 12));
-            prop_assert_eq!(&session, &reference,
-                            "engine threads = {}, memo = {}", engine.threads(), engine.memoizing());
+            prop_assert_eq!(&session, &reference, "engine threads = {}", engine.threads());
         }
         for threads in [1usize, 2, 8] {
             let unmemoized =
                 render_outcome(&iterate_rr_unmemoized(&p, 4, 12, &Pool::new(threads)));
-            prop_assert_eq!(&unmemoized, &reference, "memo off, threads = {}", threads);
+            prop_assert_eq!(&unmemoized, &reference, "session-free, threads = {}", threads);
         }
     }
 
     /// The automatic lower-bound search through a session — any width,
-    /// memo on/off, even a session whose cache was warmed by an unrelated
-    /// call — matches the cold sequential session outcome exactly.
+    /// first call or a repeat after an unrelated call on the same
+    /// session — matches the cold sequential session outcome exactly.
     #[test]
     fn autolb_identical_across_engines(p in problems()) {
         let opts = AutoLbOptions { max_steps: 2, label_budget: 5, ..Default::default() };
@@ -192,12 +181,12 @@ proptest! {
         let reference = render(&Engine::sequential().auto_lower_bound(&p, &opts));
         for engine in engine_grid() {
             prop_assert_eq!(&render(&engine.auto_lower_bound(&p, &opts)), &reference,
-                            "engine threads = {}, memo = {}", engine.threads(), engine.memoizing());
-            // Warm the cache with an unrelated probe, then search again:
-            // still byte-identical (hits return the same bytes).
+                            "engine threads = {}", engine.threads());
+            // An unrelated probe, then the same search again on the same
+            // session: still byte-identical.
             engine.iterate_with_limits(&p, 1, 12);
             prop_assert_eq!(&render(&engine.auto_lower_bound(&p, &opts)), &reference,
-                            "warmed cache, threads = {}", engine.threads());
+                            "repeat call, threads = {}", engine.threads());
         }
     }
 }

@@ -32,7 +32,7 @@ use crate::labelset::LabelSet;
 use crate::parse;
 use crate::problem::Problem;
 use crate::rightclosed::right_closed_sets;
-use crate::roundelim::{derive_sides, dominance_filter, forall_multisets};
+use crate::roundelim::{derive_sides, dominance_filter, forall_multisets, MAX_LABELS};
 
 /// A locally checkable problem on (δ_B, δ_W)-biregular trees.
 ///
@@ -188,7 +188,7 @@ pub struct BiStep {
 /// right-closed enumeration limit.
 pub fn half_step(p: &BiregularProblem, side: Side) -> Result<BiStep> {
     let n = p.alphabet.len();
-    if n > 22 {
+    if n > MAX_LABELS {
         return Err(RelimError::TooManyLabels { requested: n });
     }
     let (uni_src, exist_src) = match side {
@@ -197,7 +197,7 @@ pub fn half_step(p: &BiregularProblem, side: Side) -> Result<BiStep> {
     };
     let order = StrengthOrder::of_constraint(uni_src, n);
     let cands = right_closed_sets(&order);
-    let raw = forall_multisets(&cands, uni_src.degree(), &uni_src.sub_multiset_index());
+    let raw = forall_multisets(&cands, uni_src);
     let maximal = dominance_filter(raw);
     let derived = derive_sides(&p.alphabet, maximal, exist_src)?;
     let (black, white) = match side {

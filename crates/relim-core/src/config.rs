@@ -131,6 +131,16 @@ impl Config {
         Config { labels }
     }
 
+    /// Returns a copy with one occurrence of `label` removed, or `None` if
+    /// `label` does not occur (allocation-free below the inline capacity).
+    #[must_use]
+    pub fn without(&self, label: Label) -> Option<Config> {
+        let s = self.labels.as_slice();
+        let pos = s.binary_search(&label).ok()?;
+        let labels = s[..pos].iter().chain(&s[pos + 1..]).copied().collect();
+        Some(Config { labels })
+    }
+
     /// Whether `self` is a sub-multiset of `other`.
     pub fn is_sub_multiset_of(&self, other: &Config) -> bool {
         let mine = self.labels.as_slice();
@@ -392,6 +402,18 @@ mod tests {
         let r = c.replace_one(l(0), l(2)).unwrap();
         assert_eq!(r, Config::new(vec![l(0), l(2), l(2)]));
         assert!(c.replace_one(l(1), l(2)).is_none());
+    }
+
+    #[test]
+    fn without_removes_one_occurrence() {
+        let c = Config::new(vec![l(0), l(2), l(2), l(5)]);
+        assert_eq!(c.without(l(2)), Some(Config::new(vec![l(0), l(2), l(5)])));
+        assert_eq!(c.without(l(0)), Some(Config::new(vec![l(2), l(2), l(5)])));
+        assert_eq!(c.without(l(1)), None);
+        assert_eq!(c.without(l(2)).unwrap().with(l(2)), c);
+        // Spilled: degree > INLINE_DEGREE.
+        let big = Config::new((0..10).map(l).collect());
+        assert_eq!(big.without(l(9)), Some(Config::new((0..9).map(l).collect())));
     }
 
     #[test]

@@ -12,12 +12,13 @@
 //!   hands the pool to the rest of the system),
 //! * the default step limits and the optional lineage recorder, and
 //! * session counters surfaced through [`EngineReport`] (per-operator
-//!   step counts, batch counts, wall time), shared by every clone of the
-//!   handle — daemon executors and sweep tasks included.
+//!   step counts, `R̄` enumeration work, batch counts, wall time),
+//!   shared by every clone of the handle — daemon executors and sweep
+//!   tasks included.
 //!
-//! Each `R̄` step builds the sub-multiset index of its node constraint
-//! inline; the session keeps no per-problem state, so clones on other
-//! threads share nothing but atomic counters.
+//! Each `R̄` step derives everything it needs from its input problem;
+//! the session keeps no per-problem state, so clones on other threads
+//! share nothing but atomic counters.
 //!
 //! Determinism is inherited, not re-argued: every `Engine` method is
 //! **byte-identical** to its free-function counterpart at any thread
@@ -51,7 +52,7 @@ use crate::error::{RelimError, Result};
 use crate::iterate::{self, IterationOutcome};
 use crate::lineage::LineageGraph;
 use crate::problem::Problem;
-use crate::roundelim::{self, Step, MAX_LABELS};
+use crate::roundelim::{self, RbarWork, Step, MAX_LABELS};
 use relim_pool::Pool;
 pub use relim_pool::{parse_threads, ThreadsEnvError};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -123,6 +124,8 @@ impl EngineBuilder {
                 pool: Pool::new(self.threads),
                 r_steps: AtomicU64::new(0),
                 rbar_steps: AtomicU64::new(0),
+                rbar_raw_configs: AtomicU64::new(0),
+                rbar_maximal_configs: AtomicU64::new(0),
                 dominance_filters: AtomicU64::new(0),
                 iterate_runs: AtomicU64::new(0),
                 autolb_runs: AtomicU64::new(0),
@@ -152,6 +155,8 @@ struct EngineShared {
     pool: Pool,
     r_steps: AtomicU64,
     rbar_steps: AtomicU64,
+    rbar_raw_configs: AtomicU64,
+    rbar_maximal_configs: AtomicU64,
     dominance_filters: AtomicU64,
     iterate_runs: AtomicU64,
     autolb_runs: AtomicU64,
@@ -401,6 +406,8 @@ impl Engine {
             threads: self.threads(),
             r_steps: self.shared.r_steps.load(Ordering::Relaxed),
             rbar_steps: self.shared.rbar_steps.load(Ordering::Relaxed),
+            rbar_raw_configs: self.shared.rbar_raw_configs.load(Ordering::Relaxed),
+            rbar_maximal_configs: self.shared.rbar_maximal_configs.load(Ordering::Relaxed),
             dominance_filters: self.shared.dominance_filters.load(Ordering::Relaxed),
             iterate_runs: self.shared.iterate_runs.load(Ordering::Relaxed),
             autolb_runs: self.shared.autolb_runs.load(Ordering::Relaxed),
@@ -429,7 +436,11 @@ impl Engine {
             return Err(RelimError::TooManyLabels { requested: n });
         }
         self.shared.rbar_steps.fetch_add(1, Ordering::Relaxed);
-        roundelim::rbar_step_pooled(p, &self.shared.pool)
+        let mut work = RbarWork::default();
+        let step = roundelim::rbar_step_pooled(p, &self.shared.pool, &mut work);
+        self.shared.rbar_raw_configs.fetch_add(work.raw, Ordering::Relaxed);
+        self.shared.rbar_maximal_configs.fetch_add(work.maximal, Ordering::Relaxed);
+        step
     }
 
     /// `R̄(R(·))` without the entry-point timer.
@@ -507,6 +518,13 @@ pub struct EngineReport {
     pub r_steps: u64,
     /// `R̄(·)` applications.
     pub rbar_steps: u64,
+    /// Configurations the `R̄` universal enumeration emitted, summed over
+    /// the `R̄(·)` applications this session served (the ∀-DFS's exact
+    /// output before the dominance filter).
+    pub rbar_raw_configs: u64,
+    /// Of those, the maximal configurations that survived the dominance
+    /// filter.
+    pub rbar_maximal_configs: u64,
     /// Stand-alone dominance filter calls.
     pub dominance_filters: u64,
     /// [`Engine::iterate`] / [`Engine::iterate_with_limits`] runs.
@@ -565,6 +583,8 @@ impl EngineReport {
         vec![
             ("r_steps", self.r_steps),
             ("rbar_steps", self.rbar_steps),
+            ("rbar_raw_configs", self.rbar_raw_configs),
+            ("rbar_maximal_configs", self.rbar_maximal_configs),
             ("dominance_filters", self.dominance_filters),
             ("iterate_runs", self.iterate_runs),
             ("autolb_runs", self.autolb_runs),

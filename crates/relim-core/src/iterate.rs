@@ -11,7 +11,7 @@
 
 use crate::iso;
 use crate::problem::Problem;
-use crate::roundelim::{r_step, rbar_step_pooled, Step};
+use crate::roundelim::{r_step, rbar_step_pooled, RbarWork, Step};
 use relim_pool::Pool;
 
 /// Why an iteration stopped.
@@ -87,7 +87,7 @@ pub fn iterate_rr_unmemoized(
 ) -> IterationOutcome {
     iterate_with_step(p, max_steps, label_limit, |prev| {
         let r = r_step(prev)?;
-        let rr = rbar_step_pooled(&r.problem, pool)?;
+        let rr = rbar_step_pooled(&r.problem, pool, &mut RbarWork::default())?;
         Ok((r, rr))
     })
 }

@@ -23,6 +23,23 @@
 //! 2. For the degree-2 edge side, maximal pairs are exactly the fixed points
 //!    of the Galois connection `A ↦ ⋂_{a∈A} compat(a)`.
 //!
+//! The `R̄` side enumerates candidate multisets `B₁ ≤ … ≤ B_Δ` (by index)
+//! in a DFS that carries the **residual** of the chosen prefix `P`:
+//!
+//! ```text
+//! R(P) = { s : |s| = Δ − |P|, p + s ∈ N for every choice p of P }
+//! R(∅) = N,   R(P + B) = { t : t + b ∈ R(P) for every b ∈ B }
+//! ```
+//!
+//! as a sorted `Vec<Config>`, extended by binary search. A leaf is
+//! emitted iff its residual is `{∅}` (every choice lies in `N`), and a
+//! branch is pruned iff its residual is empty. A valid leaf `P + Q` puts
+//! every choice of `Q` into `R(P)`, so pruning never cuts a valid leaf;
+//! the traversal order over candidate indices is fixed, so the emitted
+//! sequence is exactly that of the partial-choice frontier DFS it
+//! replaced (kept as [`universal_node_configs_frontier`], pinned equal by
+//! the raw-emission differential).
+//!
 //! Both hot paths are parallelizable over a [`Pool`]: the `R̄` enumeration
 //! splits its DFS at the top candidate level into stealable subtree tasks
 //! (`forall_multisets`'s internals), and the dominance filter shards its
@@ -155,26 +172,66 @@ pub fn r_step(p: &Problem) -> Result<Step> {
 /// would be empty, and [`RelimError::TooManyLabels`] if the alphabet
 /// exceeds the right-closed enumeration limit (22 labels).
 pub fn rbar_step(p: &Problem) -> Result<Step> {
-    rbar_step_pooled(p, &Pool::sequential())
+    rbar_step_pooled(p, &Pool::sequential(), &mut RbarWork::default())
+}
+
+/// Exact work counts of `R̄(·)` applications, accumulated by
+/// [`rbar_step_pooled`] (the engine reports them per session).
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct RbarWork {
+    /// Configurations the universal enumeration emitted.
+    pub raw: u64,
+    /// Configurations that survived the dominance filter.
+    pub maximal: u64,
 }
 
 /// The pooled `R̄(·)` implementation behind [`rbar_step`] and the engine:
-/// builds the sub-multiset index of `p.node()`, then runs the universal
-/// enumeration against it and the dominance filter, both sharded over
-/// `pool`.
-pub(crate) fn rbar_step_pooled(p: &Problem, pool: &Pool) -> Result<Step> {
+/// the universal enumeration ([`universal_node_configs`]) and the
+/// dominance filter, both sharded over `pool`, then the existential side.
+/// Adds the step's emission and survivor counts to `work`.
+pub(crate) fn rbar_step_pooled(p: &Problem, pool: &Pool, work: &mut RbarWork) -> Result<Step> {
+    let raw = universal_node_configs(p, pool)?;
+    work.raw += raw.len() as u64;
+    let maximal = dominance_filter_pooled(raw, pool);
+    work.maximal += maximal.len() as u64;
+    finish_step(p, maximal, UniversalSide::Node)
+}
+
+/// The raw universal side of `R̄(p)`: every configuration over the
+/// right-closed candidate sets (Observation 4) whose every choice lies in
+/// `p.node()`, in DFS emission order, before the dominance filter. The
+/// residual DFS is sharded over `pool`; the output is byte-identical at
+/// any width and to [`universal_node_configs_frontier`].
+///
+/// # Errors
+///
+/// Returns [`RelimError::TooManyLabels`] if the alphabet exceeds the
+/// right-closed enumeration limit (22 labels).
+pub fn universal_node_configs(p: &Problem, pool: &Pool) -> Result<Vec<SetConfig>> {
+    let cands = node_candidates(p)?;
+    Ok(forall_multisets_with(&cands, p.node(), pool))
+}
+
+/// [`universal_node_configs`] computed by the partial-choice frontier DFS
+/// the residual DFS replaced — the oracle of the raw-emission
+/// differential.
+///
+/// # Errors
+///
+/// Same as [`universal_node_configs`].
+pub fn universal_node_configs_frontier(p: &Problem) -> Result<Vec<SetConfig>> {
+    let cands = node_candidates(p)?;
+    Ok(forall_multisets_frontier(&cands, p.delta(), &p.node().sub_multiset_index()))
+}
+
+/// The right-closed label sets of the node constraint's strength order:
+/// the `R̄` candidates.
+fn node_candidates(p: &Problem) -> Result<Vec<LabelSet>> {
     let n = p.alphabet().len();
     if n > MAX_LABELS {
         return Err(RelimError::TooManyLabels { requested: n });
     }
-    let sub_index = Arc::new(p.node().sub_multiset_index());
-    let order = StrengthOrder::of_constraint(p.node(), n);
-    let cands = right_closed_sets(&order);
-    let delta = p.delta();
-
-    let raw = forall_multisets_with(&cands, delta, &sub_index, pool);
-    let maximal = dominance_filter_pooled(raw, pool);
-    finish_step(p, maximal, UniversalSide::Node)
+    Ok(right_closed_sets(&StrengthOrder::of_constraint(p.node(), n)))
 }
 
 /// One full round elimination step `Π ↦ R̄(R(Π))`, returning both
@@ -189,7 +246,7 @@ pub(crate) fn rbar_step_pooled(p: &Problem, pool: &Pool) -> Result<Step> {
 /// alphabet exceeds the enumeration limit.
 pub fn rr_step(p: &Problem) -> Result<(Step, Step)> {
     let r = r_step(p)?;
-    let rr = rbar_step_pooled(&r.problem, &Pool::sequential())?;
+    let rr = rbar_step(&r.problem)?;
     Ok((r, rr))
 }
 
@@ -295,136 +352,164 @@ pub(crate) fn derive_sides(
     Ok(DerivedSides { alphabet, universal: universal_constraint, existential, provenance: sets })
 }
 
-/// Enumerates all configurations `B₁ … B_Δ` over `cands` whose every choice
-/// is (a sub-multiset of) a node configuration — the universal condition.
+/// Enumerates all configurations `B₁ … B_Δ` over `cands` whose every
+/// choice is a configuration of `constraint` — the universal condition.
 ///
-/// DFS over non-decreasing candidate indices, carrying the deduplicated set
-/// of partial-choice multisets. A partial choice that is not a sub-multiset
-/// of any configuration can never be completed, pruning the branch
-/// (soundness: the universal condition fails for any completion).
+/// DFS over non-decreasing candidate indices carrying the **residual**
+/// `R(P)` of the chosen prefix `P`: the sorted multisets `s` of size
+/// `Δ − |P|` with `p + s ∈ constraint` for every choice `p` of `P`. The
+/// root residual is the constraint itself, a leaf (`|P| = Δ`) is valid
+/// exactly when its residual is `{∅}`, and a branch whose residual is
+/// empty has no valid leaf, so it is pruned (see [`extend_residual`]).
 ///
-/// All DFS state (one frontier buffer per depth, the chosen stack) lives
+/// All DFS state (one residual buffer per depth, the chosen stack) lives
 /// in this thread's [`crate::scratch::ScratchArena`], so repeat calls on
 /// a warm worker allocate only for the output vector.
-pub(crate) fn forall_multisets(
-    cands: &[LabelSet],
-    delta: u32,
-    sub_index: &SubMultisetIndex,
-) -> Vec<SetConfig> {
-    if delta == 0 {
-        return vec![SetConfig::from_sets(&[])];
-    }
+pub(crate) fn forall_multisets(cands: &[LabelSet], constraint: &Constraint) -> Vec<SetConfig> {
+    let delta = constraint.degree();
     with_scratch(|scratch| {
         scratch.ensure_depth(delta as usize);
         scratch.chosen.clear();
-        scratch.frontiers[0].clear();
-        scratch.frontiers[0].push(Config::empty());
+        scratch.residuals[0].clear();
+        scratch.residuals[0].extend(constraint.iter().cloned());
         let mut out = Vec::new();
-        forall_rec(cands, 0, delta, 0, scratch, sub_index, &mut out);
+        forall_rec(cands, 0, delta, 0, scratch, &mut out);
         out
     })
 }
 
 /// [`forall_multisets`] with the DFS split at the top candidate level into
 /// one stealable subtree task per starting candidate, submitted to the
-/// persistent worker set (candidates and index are `Arc`-shared with the
-/// `'static` tasks). Subtree outputs are concatenated in candidate order,
-/// which is exactly the sequential DFS emission order — output is
-/// byte-identical at any thread count. Each worker thread uses its own
-/// scratch arena, warm across tasks and calls.
+/// persistent worker set (candidates and root residual are `Arc`-shared
+/// with the `'static` tasks). Subtree outputs are concatenated in
+/// candidate order, which is exactly the sequential DFS emission order —
+/// output is byte-identical at any thread count. Each worker thread uses
+/// its own scratch arena, warm across tasks and calls.
 pub(crate) fn forall_multisets_with(
     cands: &[LabelSet],
-    delta: u32,
-    sub_index: &Arc<SubMultisetIndex>,
+    constraint: &Constraint,
     pool: &Pool,
 ) -> Vec<SetConfig> {
-    if delta == 0 {
-        return vec![SetConfig::from_sets(&[])];
-    }
-    if pool.threads() <= 1 || cands.len() <= 1 {
-        return forall_multisets(cands, delta, sub_index);
+    let delta = constraint.degree();
+    if delta == 0 || pool.threads() <= 1 || cands.len() <= 1 {
+        return forall_multisets(cands, constraint);
     }
     let tops: Vec<usize> = (0..cands.len()).collect();
     let cands: Arc<Vec<LabelSet>> = Arc::new(cands.to_vec());
-    let sub_index = Arc::clone(sub_index);
+    let root: Arc<Vec<Config>> = Arc::new(constraint.iter().cloned().collect());
     let subtrees: Vec<Vec<SetConfig>> = pool.map_owned(tops, move |&top| {
-        // Replicate the level-0 loop body for index `top`: extend the empty
-        // partial choice by every label of the top candidate, then recurse
-        // over non-decreasing candidate indices as usual.
+        // Replicate the level-0 loop body for index `top`: derive the
+        // residual of the one-candidate prefix, then recurse over
+        // non-decreasing candidate indices as usual.
         let cand = cands[top];
         with_scratch(|scratch| {
             scratch.ensure_depth(delta as usize);
             scratch.chosen.clear();
             let mut out = Vec::new();
-            let mut next = std::mem::take(&mut scratch.frontiers[1]);
-            next.clear();
-            for b in cand.iter() {
-                let extended = Config::singleton(b);
-                if !sub_index.contains(&extended) {
-                    scratch.frontiers[1] = next;
-                    return out;
-                }
-                next.push(extended);
+            let mut next = std::mem::take(&mut scratch.residuals[1]);
+            let alive = extend_residual(&root, cand, &mut next);
+            scratch.residuals[1] = next;
+            if alive {
+                scratch.chosen.push(cand);
+                forall_rec(&cands, top, delta - 1, 1, scratch, &mut out);
+                scratch.chosen.pop();
             }
-            next.sort_unstable();
-            next.dedup();
-            scratch.frontiers[1] = next;
-            scratch.chosen.push(cand);
-            forall_rec(&cands, top, delta - 1, 1, scratch, &sub_index, &mut out);
-            scratch.chosen.pop();
             out
         })
     });
     subtrees.into_iter().flatten().collect()
 }
 
-/// The shared DFS over non-decreasing candidate indices, carrying the
-/// deduplicated set of partial-choice multisets (see [`forall_multisets`]).
+/// The shared residual DFS over non-decreasing candidate indices (see
+/// [`forall_multisets`]).
 ///
 /// `depth` is the number of candidates already chosen; the current
-/// frontier is `scratch.frontiers[depth]` and each candidate extension is
-/// built in `scratch.frontiers[depth + 1]` (taken out during the write so
+/// residual is `scratch.residuals[depth]` and each candidate extension is
+/// built in `scratch.residuals[depth + 1]` (taken out during the write so
 /// the two depths never alias), clearing rather than reallocating across
-/// sibling subtrees.
+/// sibling subtrees. The last two levels need no residual buffers: a
+/// residual of pairs is an adjacency relation on labels, a candidate
+/// leaves the single labels adjacent to all of its labels, and a last
+/// candidate completes the prefix iff its labels all lie there — bitmask
+/// tests in the same candidate order.
 fn forall_rec(
     cands: &[LabelSet],
     start: usize,
     remaining: u32,
     depth: usize,
     scratch: &mut ScratchArena,
-    sub_index: &SubMultisetIndex,
     out: &mut Vec<SetConfig>,
 ) {
-    if remaining == 0 {
-        out.push(SetConfig::from_sets(&scratch.chosen));
-        return;
-    }
-    for (i, &cand) in cands.iter().enumerate().skip(start) {
-        // Extend every partial choice by every label of `cand`.
-        let mut next = std::mem::take(&mut scratch.frontiers[depth + 1]);
-        next.clear();
-        let mut ok = true;
-        'ext: for m in &scratch.frontiers[depth] {
-            for b in cand.iter() {
-                let extended = m.with(b);
-                if !sub_index.contains(&extended) {
-                    ok = false;
-                    break 'ext;
+    match remaining {
+        0 => out.push(SetConfig::from_sets(&scratch.chosen)),
+        2 => {
+            // `adj[x]` = the labels `y` with `{x, y}` in the residual; a
+            // candidate `B` leaves the single labels `⋂_{b ∈ B} adj[b]`.
+            let mut adj = [LabelSet::EMPTY; MAX_LABELS];
+            for s in &scratch.residuals[depth] {
+                let &[x, y] = s.as_slice() else { unreachable!("residual of pairs") };
+                adj[x.index()] = adj[x.index()].with(y);
+                adj[y.index()] = adj[y.index()].with(x);
+            }
+            for (i, &cand) in cands.iter().enumerate().skip(start) {
+                let last = cand
+                    .iter()
+                    .fold(LabelSet::full(MAX_LABELS), |acc, b| acc.intersect(adj[b.index()]));
+                if !last.is_empty() {
+                    scratch.chosen.push(cand);
+                    for &tail in &cands[i..] {
+                        if tail.is_subset_of(last) {
+                            scratch.chosen.push(tail);
+                            out.push(SetConfig::from_sets(&scratch.chosen));
+                            scratch.chosen.pop();
+                        }
+                    }
+                    scratch.chosen.pop();
                 }
-                next.push(extended);
             }
         }
-        if !ok {
-            scratch.frontiers[depth + 1] = next;
-            continue;
+        _ => {
+            for (i, &cand) in cands.iter().enumerate().skip(start) {
+                let mut next = std::mem::take(&mut scratch.residuals[depth + 1]);
+                let alive = extend_residual(&scratch.residuals[depth], cand, &mut next);
+                scratch.residuals[depth + 1] = next;
+                if alive {
+                    scratch.chosen.push(cand);
+                    forall_rec(cands, i, remaining - 1, depth + 1, scratch, out);
+                    scratch.chosen.pop();
+                }
+            }
         }
-        next.sort_unstable();
-        next.dedup();
-        scratch.frontiers[depth + 1] = next;
-        scratch.chosen.push(cand);
-        forall_rec(cands, i, remaining - 1, depth + 1, scratch, sub_index, out);
-        scratch.chosen.pop();
     }
+}
+
+/// Writes the residual `R(P + B)` of the prefix extended by `cand = B`
+/// into `next`, given `cur = R(P)`; returns whether it is non-empty.
+///
+/// With `b₀` the smallest label of `B`,
+/// `R(P + B) = { s − b₀ : s ∈ R(P), b₀ ∈ s, s − b₀ + b ∈ R(P) ∀ b ∈ B }`:
+/// a completion `t` of `P + B` must complete `P` after every choice `b`,
+/// i.e. `t + b ∈ R(P)`, and `s = t + b₀` enumerates each `t` once.
+///
+/// `cur` is sorted and holds multisets of one size; removing one fixed
+/// label from equal-length sorted multisets preserves their lexicographic
+/// order, so `next` comes out sorted (and duplicate-free) without a sort,
+/// ready for the binary searches of the next level. Every `s` holding
+/// `b₀` starts with a label `≤ b₀`, which bounds the scan to a prefix of
+/// `cur`, and `s − b₀ + b > s` for `b > b₀`, which bounds each search to
+/// the entries after `s`.
+fn extend_residual(cur: &[Config], cand: LabelSet, next: &mut Vec<Config>) -> bool {
+    next.clear();
+    let Some(b0) = cand.first() else { return false };
+    let rest = cand.without(b0);
+    let end = cur.partition_point(|s| s.as_slice()[0] <= b0);
+    for (i, s) in cur[..end].iter().enumerate() {
+        let Some(t) = s.without(b0) else { continue };
+        if rest.iter().all(|b| cur[i + 1..].binary_search(&t.with(b)).is_ok()) {
+            next.push(t);
+        }
+    }
+    !next.is_empty()
 }
 
 /// Removes configurations dominated by another configuration
@@ -625,9 +710,63 @@ pub fn rbar_step_node_bruteforce(p: &Problem) -> Result<Vec<SetConfig>> {
     }
     let universe = LabelSet::full(n);
     let all_sets: Vec<LabelSet> = crate::labelset::subsets_nonempty(universe).collect();
-    let sub_index = p.node().sub_multiset_index();
-    let raw = forall_multisets(&all_sets_sorted(all_sets), p.delta(), &sub_index);
+    let raw = forall_multisets_frontier(
+        &all_sets_sorted(all_sets),
+        p.delta(),
+        &p.node().sub_multiset_index(),
+    );
     Ok(dominance_filter(raw))
+}
+
+/// The partial-choice frontier DFS, kept as the oracle behind
+/// [`rbar_step_node_bruteforce`] and [`universal_node_configs_frontier`].
+///
+/// DFS over non-decreasing candidate indices, carrying the deduplicated
+/// set of partial-choice multisets. A partial choice that is not a
+/// sub-multiset of any configuration can never be completed, pruning the
+/// branch; a leaf is emitted when its choices survived every level. It
+/// visits the same candidate sequences in the same order as the residual
+/// DFS and prunes only branches without a valid leaf, so both emit the
+/// same sequence.
+fn forall_multisets_frontier(
+    cands: &[LabelSet],
+    delta: u32,
+    sub_index: &SubMultisetIndex,
+) -> Vec<SetConfig> {
+    fn rec(
+        cands: &[LabelSet],
+        start: usize,
+        remaining: u32,
+        frontier: &[Config],
+        chosen: &mut Vec<LabelSet>,
+        sub_index: &SubMultisetIndex,
+        out: &mut Vec<SetConfig>,
+    ) {
+        if remaining == 0 {
+            out.push(SetConfig::from_sets(chosen));
+            return;
+        }
+        'cand: for (i, &cand) in cands.iter().enumerate().skip(start) {
+            let mut next = Vec::with_capacity(frontier.len() * cand.len());
+            for m in frontier {
+                for b in cand.iter() {
+                    let extended = m.with(b);
+                    if !sub_index.contains(&extended) {
+                        continue 'cand;
+                    }
+                    next.push(extended);
+                }
+            }
+            next.sort_unstable();
+            next.dedup();
+            chosen.push(cand);
+            rec(cands, i, remaining - 1, &next, chosen, sub_index, out);
+            chosen.pop();
+        }
+    }
+    let mut out = Vec::new();
+    rec(cands, 0, delta, &[Config::empty()], &mut Vec::new(), sub_index, &mut out);
+    out
 }
 
 fn all_sets_sorted(mut sets: Vec<LabelSet>) -> Vec<LabelSet> {

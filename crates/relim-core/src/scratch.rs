@@ -1,13 +1,13 @@
 //! Per-worker scratch arenas for the round-elimination hot loop.
 //!
 //! The universal-side DFS ([`crate::roundelim`]) repeatedly needs the same
-//! short-lived buffers: one frontier `Vec<Config>` per recursion depth, a
-//! chosen-candidate stack, and per-configuration signature keys for the
-//! dominance filter. Allocating them per call (let alone per candidate)
-//! dominated the allocator profile. This module keeps one [`ScratchArena`]
-//! per thread — pool workers are persistent ([`relim_pool::Pool`]), so the
-//! thread-local is per *worker* and warm after the first task — and the hot
-//! loop borrows buffers from it, clearing instead of freeing.
+//! short-lived buffers: one residual `Vec<Config>` per recursion depth and
+//! a chosen-candidate stack. Allocating them per call (let alone per
+//! candidate) dominated the allocator profile. This module keeps one
+//! [`ScratchArena`] per thread — pool workers are persistent
+//! ([`relim_pool::Pool`]), so the thread-local is per *worker* and warm
+//! after the first task — and the hot loop borrows buffers from it,
+//! clearing instead of freeing.
 //!
 //! Access goes through [`with_scratch`], which `take`s the arena out of
 //! the thread-local cell and puts it back afterwards: a re-entrant call
@@ -27,20 +27,21 @@ use std::cell::RefCell;
 /// every later DFS on a worker runs allocation-free in the common case.
 #[derive(Default)]
 pub(crate) struct ScratchArena {
-    /// Depth-indexed DFS frontiers: `frontiers[d]` holds the deduplicated
-    /// partial-choice multisets after `d` candidates have been chosen.
-    /// Indexed by recursion depth so sibling subtrees reuse the same
-    /// buffer; entries are `mem::take`-swapped while a depth is active.
-    pub frontiers: Vec<Vec<Config>>,
+    /// Depth-indexed DFS residuals: `residuals[d]` holds the sorted
+    /// completions (multisets of size `Δ − d`) shared by every choice of
+    /// the `d` candidates chosen so far. Indexed by recursion depth so
+    /// sibling subtrees reuse the same buffer; entries are
+    /// `mem::take`-swapped while a depth is active.
+    pub residuals: Vec<Vec<Config>>,
     /// The candidate sets chosen along the current DFS path.
     pub chosen: Vec<LabelSet>,
 }
 
 impl ScratchArena {
-    /// Ensures the frontier pool covers depths `0..=depth`.
+    /// Ensures the residual pool covers depths `0..=depth`.
     pub fn ensure_depth(&mut self, depth: usize) {
-        if self.frontiers.len() <= depth {
-            self.frontiers.resize_with(depth + 1, Vec::new);
+        if self.residuals.len() <= depth {
+            self.residuals.resize_with(depth + 1, Vec::new);
         }
     }
 }
@@ -71,11 +72,11 @@ mod tests {
     fn arena_retains_capacity_between_uses() {
         let cap = with_scratch(|a| {
             a.ensure_depth(3);
-            a.frontiers[2].reserve(100);
-            a.frontiers[2].capacity()
+            a.residuals[2].reserve(100);
+            a.residuals[2].capacity()
         });
         assert!(cap >= 100);
-        let cap_again = with_scratch(|a| a.frontiers[2].capacity());
+        let cap_again = with_scratch(|a| a.residuals[2].capacity());
         assert!(cap_again >= 100, "capacity lost between uses: {cap_again}");
     }
 

@@ -918,4 +918,70 @@ mod tests {
         assert!(!out.contains("threads"), "{out}");
         assert!(out.contains("VERIFIED"), "{out}");
     }
+
+    /// The `R̄` work of the paper's cold certificate population on one
+    /// sequential session: `autolb` and `iterate` at CLI defaults on
+    /// `mis(3..=5)` and on `Π`/`Π⁺` at every `Δ = 3` sweep point, plus
+    /// `autoub` on the seven `Δ = 3` problems (25 requests). The session
+    /// serves 49 `R̄` applications; the certificate replays
+    /// (`autolb::verify_chain`, `autoub::verify_ub`) re-run each chain
+    /// link through the sequential free functions, outside the session,
+    /// and are counted here on a second session. Together the ∀-DFS emits
+    /// 46,842 raw configurations, of which 530 are maximal.
+    #[test]
+    fn cold_population_rbar_work_is_pinned() {
+        use lb_family::family::{mis, pi, pi_plus, sweep_points};
+        let mut problems: Vec<Problem> = (3..=5).map(|d| mis(d).unwrap()).collect();
+        for params in sweep_points(3) {
+            problems.push(pi(&params).unwrap());
+            problems.push(pi_plus(&params).unwrap());
+        }
+        let engine = Engine::sequential();
+        let replay = Engine::sequential();
+        let replay_links = |chain: Vec<&Problem>, links: usize| {
+            for prev in chain.into_iter().take(links) {
+                replay.rr_step(prev).unwrap();
+            }
+        };
+        for p in &problems {
+            let node = p.node().display(p.alphabet());
+            let edge = p.edge().display(p.alphabet());
+            let lb = OpRequest::auto_lb(&node, &edge).unwrap();
+            lb.execute(&engine).unwrap();
+            let OpRequest::AutoLb { max_steps, labels, criterion, .. } = lb else { unreachable!() };
+            let opts = autolb::AutoLbOptions {
+                max_steps,
+                label_budget: labels,
+                triviality: criterion.triviality(),
+            };
+            let outcome = Engine::sequential().auto_lower_bound(p, &opts);
+            replay_links(outcome.chain().collect(), outcome.steps.len());
+
+            OpRequest::iterate(&node, &edge).unwrap().execute(&engine).unwrap();
+
+            if p.delta() == 3 {
+                let ub = OpRequest::auto_ub(&node, &edge).unwrap();
+                ub.execute(&engine).unwrap();
+                let OpRequest::AutoUb { max_steps, labels, coloring, .. } = ub else {
+                    unreachable!()
+                };
+                let opts = autoub::AutoUbOptions { max_steps, label_budget: labels, coloring };
+                let outcome = Engine::sequential().auto_upper_bound(p, &opts);
+                replay_links(outcome.chain().collect(), outcome.steps.len());
+            }
+        }
+        let served = engine.report();
+        assert_eq!(
+            (served.rbar_steps, served.rbar_raw_configs, served.rbar_maximal_configs),
+            (49, 38_792, 371)
+        );
+        let replayed = replay.report();
+        assert_eq!(
+            (
+                served.rbar_raw_configs + replayed.rbar_raw_configs,
+                served.rbar_maximal_configs + replayed.rbar_maximal_configs
+            ),
+            (46_842, 530)
+        );
+    }
 }

@@ -1303,6 +1303,8 @@ mod tests {
             "relim_latency_zero_round_computed_count 1",
             "relim_queue_pending",
             "relim_engine_rbar_steps",
+            "relim_engine_rbar_raw_configs",
+            "relim_engine_rbar_maximal_configs",
             "relim_timeline_recorded",
             "relim_timeline_dropped 0",
             "relim_trace_window 0",
@@ -1474,6 +1476,93 @@ mod tests {
         assert!(
             joined_rx.recv_timeout(Duration::from_secs(10)).is_ok(),
             "the executor missed the shutdown wake-up"
+        );
+    }
+
+    /// A bulk job that is bypassed by an interactive one gets promoted and
+    /// logs its timeline in order: enqueue, promote, start, finish. A
+    /// test hook holds the only executor inside a holder job until the
+    /// bulk job and two interactives are queued behind it. With aging
+    /// limit 1 the first bypass then promotes the bulk job past the
+    /// second, however fast each job runs.
+    #[test]
+    fn a_promoted_bulk_job_logs_ordered_timeline_events() {
+        use std::time::Duration;
+
+        let config = ServerConfig { executors: 1, aging_limit: 1, ..ServerConfig::default() };
+        let handle = Server::spawn("127.0.0.1:0", config).unwrap();
+        let addr = handle.local_addr().to_string();
+        let client = Client::new(addr.clone());
+        let (node, edge) = ("M M M\nP O O", "M [P O]\nO O");
+        let iterate = |max_steps| OpRequest::Iterate {
+            node: node.into(),
+            edge: edge.into(),
+            max_steps,
+            label_limit: 20,
+        };
+        let bulk_op = OpRequest::zero_round(node, edge).unwrap();
+        let bulk_digest = bulk_op.digest().unwrap();
+        // A problem no other test submits: the hook registry is global.
+        let holder_op = OpRequest::zero_round("H H", "H H").unwrap();
+
+        let (held_tx, held_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        test_hooks::install(
+            &holder_op.digest().unwrap(),
+            Box::new(move || {
+                held_tx.send(()).unwrap();
+                let _ = release_rx.recv_timeout(Duration::from_secs(30));
+            }),
+        );
+
+        let submit = |op: OpRequest, class: Class| {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                Client::new(addr).submit(&op, Some(class)).expect("scenario submit");
+            })
+        };
+        let wait_for_pending = |n: i64| {
+            let start = Instant::now();
+            loop {
+                let status = client.status().expect("status poll");
+                let pending = status.get("queue").and_then(|q| q.get("pending"));
+                if pending.and_then(Json::as_i64).is_some_and(|p| p >= n) {
+                    return;
+                }
+                assert!(start.elapsed() < Duration::from_secs(30), "queue never reached {n}");
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        };
+
+        let holder = submit(holder_op, Class::Interactive);
+        held_rx.recv_timeout(Duration::from_secs(30)).expect("the holder job never started");
+        let bulk = submit(bulk_op, Class::Bulk);
+        wait_for_pending(1);
+        let i1 = submit(iterate(1), Class::Interactive);
+        wait_for_pending(2);
+        let i2 = submit(iterate(2), Class::Interactive);
+        wait_for_pending(3);
+        release_tx.send(()).unwrap();
+        for t in [holder, bulk, i1, i2] {
+            t.join().expect("scenario thread panicked");
+        }
+
+        let status = client.status().unwrap();
+        let promotions = status.get("queue").and_then(|q| q.get("aged_promotions"));
+        assert_eq!(promotions.and_then(Json::as_i64), Some(1), "{status:?}");
+        let (timeline, gantt) = client.timeline().unwrap();
+        client.shutdown().unwrap();
+        handle.join();
+        let events = timeline.get("events").and_then(Json::as_arr).expect("events array");
+        let kinds: Vec<&str> = events
+            .iter()
+            .filter(|e| e.get("digest").and_then(Json::as_str) == Some(bulk_digest.as_str()))
+            .filter_map(|e| e.get("event").and_then(Json::as_str))
+            .collect();
+        assert_eq!(
+            kinds,
+            ["enqueue", "promote", "start", "finish"],
+            "bulk lifecycle out of order; gantt:\n{gantt}"
         );
     }
 }

@@ -252,90 +252,6 @@ fn metrics_scrapes_stay_valid_and_monotone_under_live_traffic() {
     handle.join();
 }
 
-/// An aged-promoted bulk job must log its full lifecycle to the
-/// timeline in order: enqueue, promote, start, finish. The promotion
-/// window is made by parking a slow job on a width-1 pool and stacking
-/// the queue behind it; scheduling noise can close that window, so the
-/// scenario retries on a fresh daemon until a promotion is observed.
-#[test]
-fn a_promoted_bulk_job_logs_ordered_timeline_events() {
-    let bulk_op = OpRequest::zero_round(NODE, EDGE).unwrap();
-    let bulk_digest = bulk_op.digest().unwrap();
-    let deadline = std::time::Duration::from_secs(30);
-
-    for _attempt in 0..5 {
-        let config = ServerConfig { executors: 1, aging_limit: 1, ..ServerConfig::default() };
-        let handle = Server::spawn("127.0.0.1:0", config).unwrap();
-        let addr = handle.local_addr().to_string();
-        let client = Client::new(addr.clone());
-
-        let submit_thread = |op: OpRequest, class: Class| {
-            let addr = addr.clone();
-            std::thread::spawn(move || {
-                Client::new(addr).submit(&op, Some(class)).expect("scenario submit");
-            })
-        };
-        let wait_until = |cond: &dyn Fn() -> bool| {
-            let start = std::time::Instant::now();
-            while !cond() && start.elapsed() < deadline {
-                std::thread::sleep(std::time::Duration::from_millis(2));
-            }
-        };
-
-        // Park a sweep on the only executor, and wait until it has
-        // actually been popped (its `start` event is on the timeline).
-        let holder = submit_thread(OpRequest::sweep(3, 8).unwrap(), Class::Interactive);
-        wait_until(&|| {
-            let (timeline, _) = client.timeline().expect("timeline poll");
-            timeline.get("events").and_then(Json::as_arr).is_some_and(|events| {
-                events.iter().any(|e| e.get("event").and_then(Json::as_str) == Some("start"))
-            })
-        });
-
-        // Stack the queue behind it: the bulk job first, then two
-        // interactives that would each bypass it. With aging_limit 1
-        // the first bypass promotes the bulk job past the second.
-        let pending = |n: i64| {
-            let client = client.clone();
-            move || {
-                let status = client.status().expect("status poll");
-                int_at(&status, "queue", "pending") >= n
-            }
-        };
-        let bulk = submit_thread(bulk_op.clone(), Class::Bulk);
-        wait_until(&pending(1));
-        let i1 = submit_thread(mis_iterate(1), Class::Interactive);
-        wait_until(&pending(2));
-        let i2 = submit_thread(mis_iterate(2), Class::Interactive);
-
-        for t in [holder, bulk, i1, i2] {
-            t.join().expect("scenario thread panicked");
-        }
-        let status = client.status().unwrap();
-        let promoted = int_at(&status, "queue", "aged_promotions") > 0;
-        let (timeline, gantt) = client.timeline().unwrap();
-        client.shutdown().unwrap();
-        handle.join();
-        if !promoted {
-            continue; // the sweep finished before the stack built up
-        }
-
-        let events = timeline.get("events").and_then(Json::as_arr).expect("events array");
-        let kinds: Vec<&str> = events
-            .iter()
-            .filter(|e| e.get("digest").and_then(Json::as_str) == Some(bulk_digest.as_str()))
-            .filter_map(|e| e.get("event").and_then(Json::as_str))
-            .collect();
-        assert_eq!(
-            kinds,
-            ["enqueue", "promote", "start", "finish"],
-            "bulk lifecycle out of order; gantt:\n{gantt}"
-        );
-        return;
-    }
-    panic!("no promotion observed in 5 attempts — the promotion window never opened");
-}
-
 /// The queue-aging adversary at pool width 4: bulk sweeps submitted
 /// under interactive flood pressure (the wire analogue of the
 /// `starvation_freedom_under_adversarial_interactive_pressure` property

@@ -19,7 +19,10 @@
 use mis_domset_lb::pool::Pool;
 use mis_domset_lb::relim::autolb::{self, AutoLbOptions};
 use mis_domset_lb::relim::iterate::{iterate_rr_unmemoized, IterationOutcome};
-use mis_domset_lb::relim::roundelim::{dominance_filter, dominance_filter_reference, rr_step};
+use mis_domset_lb::relim::roundelim::{
+    dominance_filter, dominance_filter_reference, r_step, rr_step, universal_node_configs,
+    universal_node_configs_frontier,
+};
 use mis_domset_lb::relim::{Alphabet, Config, Constraint, Label, LabelSet, Problem, SetConfig};
 use mis_domset_lb::Engine;
 use proptest::prelude::*;
@@ -138,6 +141,16 @@ proptest! {
         }
     }
 
+    /// The residual ∀-DFS emits the frontier DFS's raw `R̄` sequence at
+    /// widths 1/2/8, on the problem and on its `R(·)` image.
+    #[test]
+    fn rbar_raw_emission_matches_frontier_dfs(p in problems()) {
+        assert_raw_emission_matches_frontier(&p, "problem");
+        if let Ok(r) = r_step(&p) {
+            assert_raw_emission_matches_frontier(&r.problem, "R(problem)");
+        }
+    }
+
     /// The bucketed, sharded dominance filter agrees with the seed's
     /// quadratic reference at every thread count.
     #[test]
@@ -196,6 +209,86 @@ proptest! {
 fn render_outcome(o: &IterationOutcome) -> String {
     let rendered: Vec<String> = o.problems.iter().map(Problem::render).collect();
     format!("{:?}\n{:?}\n{}", o.stats, o.stopped, rendered.join("\n---\n"))
+}
+
+/// The production residual ∀-DFS ([`universal_node_configs`]) must emit
+/// exactly the frontier DFS's raw `Vec<SetConfig>` — same configurations,
+/// same order, before the dominance filter — at pool widths 1, 2 and 8.
+fn assert_raw_emission_matches_frontier(p: &Problem, what: &str) {
+    let reference = universal_node_configs_frontier(p).map_err(|e| format!("{e:?}"));
+    for threads in [1usize, 2, 8] {
+        let got = universal_node_configs(p, &Pool::new(threads)).map_err(|e| format!("{e:?}"));
+        assert_eq!(got, reference, "{what}: threads = {threads}\n{}", p.render());
+    }
+}
+
+fn problem(node: &str, edge: &str) -> Problem {
+    Problem::from_text(node, edge).expect("valid problem")
+}
+
+/// Δ = 1: every prefix is a leaf after one candidate.
+#[test]
+fn rbar_raw_emission_delta_one() {
+    let p = problem("A\nB", "A B\nB B");
+    assert_eq!(p.delta(), 1);
+    assert_raw_emission_matches_frontier(&p, "Δ = 1");
+    assert_raw_emission_matches_frontier(&r_step(&p).unwrap().problem, "R(Δ = 1)");
+}
+
+/// Δ = 9 > `INLINE_DEGREE`: residual multisets start out spilled to the
+/// heap and shrink back inline as the DFS descends.
+#[test]
+fn rbar_raw_emission_spilled_configs() {
+    let p = problem("O I^8\nI^9", "O I\nI I");
+    assert!(p.delta() as usize > mis_domset_lb::relim::config::INLINE_DEGREE);
+    assert_raw_emission_matches_frontier(&p, "Δ = 9");
+    assert_raw_emission_matches_frontier(&r_step(&p).unwrap().problem, "R(Δ = 9)");
+}
+
+/// The generator problem whose `iterate` chain grows from 3 to 7 to 81
+/// labels: node `L0²L1, L0²L2, L0L1L2, L0L2², L1³, L1²L2, L1L2²`, edge
+/// `L0L1, L2²`.
+fn blowup_problem() -> Problem {
+    problem("L0^2 L1\nL0^2 L2\nL0 L1 L2\nL0 L2^2\nL1^3\nL1^2 L2\nL1 L2^2", "L0 L1\nL2^2")
+}
+
+/// The 18-label `R(·)` image of the blow-up chain's second problem, whose
+/// `R̄` step yields the 81 labels: the heaviest enumeration any
+/// differential suite reaches (47,528 raw configurations for 74 maximal
+/// ones).
+fn blowup_heavy_rbar_input() -> Problem {
+    let (_, rr) = rr_step(&blowup_problem()).unwrap();
+    assert_eq!(rr.problem.alphabet().len(), 7);
+    let r = r_step(&rr.problem).unwrap().problem;
+    assert_eq!(r.alphabet().len(), 18);
+    r
+}
+
+/// Every cheap `R̄` input of the blow-up chain against the frontier DFS;
+/// the heavy step at widths 1/2/8 against its pinned sizes (the frontier
+/// oracle on it takes ~30 s in a debug build: see the tier-2 test below).
+#[test]
+fn rbar_raw_emission_81_label_blowup() {
+    let p = blowup_problem();
+    assert_raw_emission_matches_frontier(&p, "blow-up problem");
+    let (r, rr) = rr_step(&p).unwrap();
+    assert_raw_emission_matches_frontier(&r.problem, "R(blow-up problem)");
+    assert_raw_emission_matches_frontier(&rr.problem, "R̄(R(blow-up problem))");
+
+    let heavy = blowup_heavy_rbar_input();
+    let raw = universal_node_configs(&heavy, &Pool::sequential()).unwrap();
+    assert_eq!(raw.len(), 47_528);
+    assert_eq!(dominance_filter(raw.clone()).len(), 74);
+    for threads in [2usize, 8] {
+        assert!(universal_node_configs(&heavy, &Pool::new(threads)).unwrap() == raw);
+    }
+}
+
+/// The heavy blow-up step against the frontier DFS oracle.
+#[test]
+#[ignore = "tier-2: the frontier oracle needs ~30 s in a debug build; run with --ignored in release"]
+fn rbar_raw_emission_81_label_blowup_heavy_step() {
+    assert_raw_emission_matches_frontier(&blowup_heavy_rbar_input(), "heavy blow-up step");
 }
 
 /// `Engine::dominance_filter` must match the seed's quadratic reference
